@@ -2,6 +2,7 @@ package cdg
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -10,43 +11,157 @@ import (
 	"ebda/internal/topology"
 )
 
-// VerifyCache memoizes verification Reports across turn sets, keyed by a
-// canonical 64-bit hash of (network shape, VC configuration, turn-set
-// transition relation). The experiment sweeps (E04/E05/E07, the partition
-// strategy searches, the paper-section turn-model enumerations) verify
-// many structurally identical designs — chains rebuilt per call produce
-// fresh TurnSet instances with identical relations — and the cache turns
-// those repeats into a map probe.
+// Cache memoizes verdicts of one kind under the engine's dual-hash
+// identities (VerifyKey, DeltaKey, ModeKey). Each entry stores a second,
+// independently derived 64-bit check hash: a probe whose key matches but
+// whose check differs is treated as a miss, so a single-hash collision
+// can never surface a wrong verdict. Past maxCacheEntries the map is
+// flushed wholesale (an epoch flush — correctness never depends on cache
+// contents) and the dropped entries are counted as evictions.
 //
-// The cache is goroutine-safe. Each entry stores a second, independently
-// derived 64-bit check hash: a probe whose key matches but whose check
-// differs is treated as a miss and recomputed, so a single-hash collision
-// can never surface a wrong report. Cached Reports share their Cycle
-// slice; callers must treat it as read-only (every in-repo consumer only
-// formats it).
-type VerifyCache struct {
+// The zero value is ready to use and goroutine-safe. Every instance of
+// one verdict type records into the same process-wide metric series; the
+// entries gauge is the live total across those instances. Cached verdicts
+// share their witness slices; callers must treat them as read-only.
+type Cache[R Verdict] struct {
 	mu sync.RWMutex
-	m  map[uint64]cacheEntry
+	m  map[uint64]cacheEntry[R]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
-type cacheEntry struct {
-	check uint64
-	rep   Report
+// Verdict is the set of report types a Cache can hold — Report and
+// ModeReport. Each names the metric series its cache kind records into;
+// the method is unexported, so no other type can join the set.
+type Verdict interface {
+	cacheSeries() *cacheSeries
 }
 
-// maxCacheEntries bounds memory: past it the map is flushed wholesale (an
-// epoch flush — correctness never depends on cache contents). The
-// repository's full sweep population is a few thousand entries. It is a
-// variable only so tests can lower it to exercise the eviction path.
+func (Report) cacheSeries() *cacheSeries     { return &verifyCacheSeries }
+func (ModeReport) cacheSeries() *cacheSeries { return &modeCacheSeries }
+
+type cacheEntry[R any] struct {
+	check uint64
+	rep   R
+}
+
+// maxCacheEntries bounds memory: past it the map is flushed wholesale.
+// The repository's full sweep population is a few thousand entries. It
+// is a variable only so tests can lower it to exercise the eviction path.
 var maxCacheEntries = 1 << 15
 
-// DefaultCache is the process-wide verification cache behind
-// VerifyTurnSetCached and VerifyChainCached.
-var DefaultCache = &VerifyCache{}
+func (c *Cache[R]) series() *cacheSeries {
+	var zero R
+	return zero.cacheSeries()
+}
+
+// Lookup probes the cache without computing on a miss. A hit counts as
+// cache traffic (it answers a verification); a miss counts nothing — the
+// caller decides whether to compute, and Do records the miss. Serving
+// layers use Lookup to report provenance exactly, and cluster replicas
+// use it to answer a peer's probe by raw identity.
+func (c *Cache[R]) Lookup(key, check uint64) (R, bool) {
+	c.mu.RLock()
+	e, ok := c.m[key]
+	c.mu.RUnlock()
+	if ok && e.check == check {
+		c.hits.Add(1)
+		c.series().hits.Inc()
+		return e.rep, true
+	}
+	var zero R
+	return zero, false
+}
+
+// Do returns the verdict memoized under (key, check), computing and
+// caching it on a miss. A hit is answered even when ctx has already
+// expired — it costs no work and the verdict is real. A compute that
+// fails (cancellation, an invalid diff) returns its error and stores
+// nothing, so partial results never become cache entries.
+func (c *Cache[R]) Do(ctx context.Context, key, check uint64, compute func(context.Context) (R, error)) (R, error) {
+	if rep, ok := c.Lookup(key, check); ok {
+		return rep, nil
+	}
+	c.misses.Add(1)
+	c.series().misses.Inc()
+	rep, err := compute(ctx)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	c.put(keyedEntry[R]{key, cacheEntry[R]{check, rep}})
+	return rep, nil
+}
+
+// keyedEntry is one entry with its key: the unit snapshots carry.
+type keyedEntry[R any] struct {
+	key uint64
+	cacheEntry[R]
+}
+
+// entries captures the cache's entries in ascending key order.
+func (c *Cache[R]) entries() []keyedEntry[R] {
+	c.mu.RLock()
+	out := make([]keyedEntry[R], 0, len(c.m))
+	for k, e := range c.m {
+		out = append(out, keyedEntry[R]{k, e})
+	}
+	c.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// put inserts entries in order under one lock. An insert into a full
+// map epoch-flushes it first, counting the dropped entries as
+// evictions; the shared entries gauge moves by this cache's net size
+// change.
+func (c *Cache[R]) put(es ...keyedEntry[R]) {
+	s := c.series()
+	c.mu.Lock()
+	before := len(c.m)
+	for _, e := range es {
+		if n := len(c.m); n >= maxCacheEntries {
+			c.evictions.Add(uint64(n))
+			s.evictions.Add(uint64(n))
+			c.m = nil
+		}
+		if c.m == nil {
+			c.m = make(map[uint64]cacheEntry[R])
+		}
+		c.m[e.key] = e.cacheEntry
+	}
+	s.entries.Add(int64(len(c.m) - before))
+	c.mu.Unlock()
+}
+
+// Stats returns current hit/miss/eviction counters and the live entry
+// count.
+func (c *Cache[R]) Stats() CacheStats {
+	c.mu.RLock()
+	n := len(c.m)
+	c.mu.RUnlock()
+	return CacheStats{
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   n,
+	}
+}
+
+// Reset clears all entries and counters. Entries dropped here are not
+// counted as evictions: Reset marks an intentional epoch boundary (the
+// bench harness isolates experiments with it), not capacity pressure.
+func (c *Cache[R]) Reset() {
+	c.mu.Lock()
+	c.series().entries.Add(-int64(len(c.m)))
+	c.m = nil
+	c.mu.Unlock()
+	c.hits.Store(0)
+	c.misses.Store(0)
+	c.evictions.Store(0)
+}
 
 // CacheStats is a snapshot of cache effectiveness.
 type CacheStats struct {
@@ -65,32 +180,22 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Stats returns current hit/miss/eviction counters and the live entry
-// count.
-func (c *VerifyCache) Stats() CacheStats {
-	c.mu.RLock()
-	n := len(c.m)
-	c.mu.RUnlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   n,
-	}
+// VerifyCache memoizes turn-set and delta verification Reports, keyed by
+// VerifyKey and DeltaKey. The experiment sweeps (E04/E05/E07, the
+// partition strategy searches, the paper-section turn-model
+// enumerations) verify many structurally identical designs — chains
+// rebuilt per call produce fresh TurnSet instances with identical
+// relations — and the cache turns those repeats into a map probe. Delta
+// entries live in the same map as full verifications; the key seeds keep
+// the two families decorrelated and the check hash catches any residual
+// collision.
+type VerifyCache struct {
+	Cache[Report]
 }
 
-// Reset clears all entries and counters. Entries dropped here are not
-// counted as evictions: Reset marks an intentional epoch boundary (the
-// bench harness isolates experiments with it), not capacity pressure.
-func (c *VerifyCache) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-	obsCacheEntries.Set(0)
-}
+// DefaultCache is the process-wide verification cache behind
+// VerifyTurnSetCached and VerifyChainCached.
+var DefaultCache = &VerifyCache{}
 
 // verifyKey derives the cache key and its independent check hash. The
 // network contributes its family name, per-dimension sizes and wraps (and,
@@ -162,44 +267,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Lookup probes the cache without computing on a miss. A hit counts as
-// cache traffic (it answers a verification); a miss counts nothing — the
-// caller decides whether to compute, and the computing entry point
-// records the miss. Serving layers use Lookup to report cache provenance
-// exactly: hit -> served from cache, miss -> computed (or coalesced onto
-// another request's computation).
-func (c *VerifyCache) Lookup(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (Report, bool) {
-	key, check := verifyKey(net, vcs, ts)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, true
-	}
-	return Report{}, false
-}
-
-// LookupKey probes the cache by a raw dual-hash identity (a VerifyKey or
-// DeltaKey pair) without computing on a miss, with Lookup's accounting
-// contract: a hit counts as cache traffic, a miss counts nothing. It is
-// the peer-lookup entry point for cluster serving — a replica that owns
-// a key answers another replica's probe from its cache or not at all,
-// and the check hash guarantees a collision is a miss, never a wrong
-// report.
-func (c *VerifyCache) LookupKey(key, check uint64) (Report, bool) {
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, true
-	}
-	return Report{}, false
-}
-
 // VerifyTurnSetJobs returns the memoized report for the (network, vcs,
 // turn set) shape, computing and caching it on a miss via the pooled
 // verification path (jobs <= 0 means all cores). Reports are identical to
@@ -216,41 +283,16 @@ func (c *VerifyCache) VerifyTurnSetJobs(net *topology.Network, vcs VCConfig, ts 
 // stores nothing (partial peels never become cache entries).
 func (c *VerifyCache) VerifyTurnSetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (Report, error) {
 	key, check := verifyKey(net, vcs, ts)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, nil
-	}
-	c.misses.Add(1)
-	obsCacheMisses.Inc()
-	rep, err := VerifyTurnSetCtx(ctx, net, vcs, ts, jobs)
-	if err != nil {
-		return Report{}, err
-	}
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		if n := len(c.m); n > 0 {
-			c.evictions.Add(uint64(n))
-			obsCacheEvictions.Add(uint64(n))
-		}
-		c.m = make(map[uint64]cacheEntry)
-	}
-	c.m[key] = cacheEntry{check: check, rep: rep}
-	obsCacheEntries.Set(int64(len(c.m)))
-	c.mu.Unlock()
-	return rep, nil
+	return c.Do(ctx, key, check, func(ctx context.Context) (Report, error) {
+		return VerifyTurnSetCtx(ctx, net, vcs, ts, jobs)
+	})
 }
 
 // DeltaKey derives the cache identity of a delta verification: the base
 // verification's dual-hash key mixed with the diff's canonical
 // fingerprint. Like VerifyKey it is stable across processes and jobs
 // values, so serving layers coalesce concurrent identical deltas onto one
-// computation. Delta entries live in the same cache map as full
-// verifications; the seeds keep the two key families decorrelated and the
-// check hash catches any residual collision.
+// computation.
 func DeltaKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (key, check uint64) {
 	const (
 		deltaSeedA = 0x71c3a9d0f54bd137
@@ -263,22 +305,6 @@ func DeltaKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) 
 	return key, check
 }
 
-// LookupDelta probes the cache for a delta verdict without computing on a
-// miss, with the same hit/miss accounting contract as Lookup: a hit counts
-// as cache traffic, a miss counts nothing.
-func (c *VerifyCache) LookupDelta(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (Report, bool) {
-	key, check := DeltaKey(net, vcs, ts, diff)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, true
-	}
-	return Report{}, false
-}
-
 // VerifyDeltaCtx returns the memoized report of the base design perturbed
 // by the diff, computing it on a miss through a pooled DeltaWorkspace
 // (jobs <= 0 means all cores) — the cache-layer delta entry point serving
@@ -288,37 +314,14 @@ func (c *VerifyCache) LookupDelta(net *topology.Network, vcs VCConfig, ts *core.
 // perturbed design for every jobs value.
 func (c *VerifyCache) VerifyDeltaCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff, jobs int) (Report, error) {
 	key, check := DeltaKey(net, vcs, ts, diff)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, nil
-	}
-	c.misses.Add(1)
-	obsCacheMisses.Inc()
-	dw, err := DefaultDeltaPool.GetCtx(ctx, net, vcs, ts, jobs)
-	if err != nil {
-		return Report{}, err
-	}
-	rep, err := dw.VerifyDiffCtx(ctx, diff, jobs)
-	DefaultDeltaPool.Put(dw)
-	if err != nil {
-		return Report{}, err
-	}
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		if n := len(c.m); n > 0 {
-			c.evictions.Add(uint64(n))
-			obsCacheEvictions.Add(uint64(n))
+	return c.Do(ctx, key, check, func(ctx context.Context) (Report, error) {
+		dw, err := DefaultDeltaPool.GetCtx(ctx, net, vcs, ts, jobs)
+		if err != nil {
+			return Report{}, err
 		}
-		c.m = make(map[uint64]cacheEntry)
-	}
-	c.m[key] = cacheEntry{check: check, rep: rep}
-	obsCacheEntries.Set(int64(len(c.m)))
-	c.mu.Unlock()
-	return rep, nil
+		defer DefaultDeltaPool.Put(dw)
+		return dw.VerifyDiffCtx(ctx, diff, jobs)
+	})
 }
 
 // VerifyDeltaJobs is VerifyDeltaCtx without a deadline.

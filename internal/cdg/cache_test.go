@@ -7,6 +7,7 @@ import (
 
 	"ebda/internal/channel"
 	"ebda/internal/core"
+	"ebda/internal/obs"
 	"ebda/internal/topology"
 )
 
@@ -201,5 +202,29 @@ func TestCacheEvictionCounting(t *testing.T) {
 	c.Reset()
 	if s := c.Stats(); s.Evictions != 0 || s.Entries != 0 {
 		t.Fatalf("stats after reset = %+v, want zeroed", s)
+	}
+}
+
+// TestCacheEntriesGaugeIsProcessTotal pins the entries gauge as the live
+// total across every verify cache in the process: replicas and private
+// caches each move it by their own size changes.
+func TestCacheEntriesGaugeIsProcessTotal(t *testing.T) {
+	gauge := obs.Default.Gauge("ebda_verify_cache_entries", "")
+	base := gauge.Value()
+	a, b := &VerifyCache{}, &VerifyCache{}
+	for _, net := range []*topology.Network{topology.NewMesh(3, 3), topology.NewMesh(3, 4), topology.NewMesh(4, 4)} {
+		a.VerifyTurnSetJobs(net, nil, xyTurnSet(), 1)
+	}
+	b.VerifyTurnSetJobs(topology.NewMesh(3, 3), nil, xyTurnSet(), 1)
+	if got := gauge.Value() - base; got != 4 {
+		t.Fatalf("gauge moved by %d with caches of 3 and 1 entries, want 4", got)
+	}
+	b.Reset()
+	if got := gauge.Value() - base; got != 3 {
+		t.Fatalf("gauge moved by %d after resetting the 1-entry cache, want 3", got)
+	}
+	a.Reset()
+	if got := gauge.Value() - base; got != 0 {
+		t.Fatalf("gauge moved by %d after resetting both caches, want 0", got)
 	}
 }

@@ -115,7 +115,7 @@ func TestCacheLookupProvenance(t *testing.T) {
 	vcs := VCConfigFor(net.Dims(), chain.Channels())
 	cache := &VerifyCache{}
 
-	if _, ok := cache.Lookup(net, vcs, ts); ok {
+	if _, ok := cache.Lookup(VerifyKey(net, vcs, ts)); ok {
 		t.Fatal("Lookup hit on an empty cache")
 	}
 	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 {
@@ -125,7 +125,7 @@ func TestCacheLookupProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cache.Lookup(net, vcs, ts)
+	got, ok := cache.Lookup(VerifyKey(net, vcs, ts))
 	if !ok {
 		t.Fatal("Lookup miss after a computed verification")
 	}

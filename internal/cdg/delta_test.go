@@ -497,7 +497,7 @@ func TestDeltaCache(t *testing.T) {
 	}
 
 	c := &VerifyCache{}
-	if _, ok := c.LookupDelta(net, nil, ts, diff); ok {
+	if _, ok := c.Lookup(DeltaKey(net, nil, ts, diff)); ok {
 		t.Fatal("empty cache must miss")
 	}
 	rep, err := c.VerifyDeltaJobs(net, nil, ts, diff, 1)
@@ -508,7 +508,7 @@ func TestDeltaCache(t *testing.T) {
 	if !reportsIdentical(rep, want) {
 		t.Fatalf("cached delta verdict wrong:\ndelta: %s\nfresh: %s", rep, want)
 	}
-	hit, ok := c.LookupDelta(net, nil, ts, diff)
+	hit, ok := c.Lookup(DeltaKey(net, nil, ts, diff))
 	if !ok || !reportsIdentical(hit, rep) {
 		t.Fatalf("second probe must hit with the same report")
 	}

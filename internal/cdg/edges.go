@@ -1,25 +1,21 @@
 package cdg
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// This file is the engine's first topology-free surface: an EdgeSet is a
+// This file is the engine's topology-free surface: an EdgeSet is a
 // channel dependency graph stripped down to "n nodes, directed edges",
-// verified through the identical Kahn peel + residual DFS that powers
-// VerifyTurnSet. The paper's reduction — deadlock freedom iff the
-// dependency graph is acyclic — does not care that our concrete channels
-// happen to be (link, VC) pairs of a mesh; any wait-for relation reduced
-// to dense indices gets the same verdict machinery, the same determinism
-// guarantees, and the same cached entry-point discipline. The first
-// client is deadlint (internal/lint), which verifies the repository's own
-// lock-acquisition/wait graph; the ROADMAP's "abstract channel graph"
-// refactor is the second.
+// verified by the mode engine (modes.go) through the identical Kahn peel
+// + residual DFS that powers VerifyTurnSet. The paper's reduction —
+// deadlock freedom iff the dependency graph is acyclic — does not care
+// that our concrete channels happen to be (link, VC) pairs of a mesh; any
+// wait-for relation reduced to dense indices gets the same verdict
+// machinery, the same determinism guarantees, and the same cached
+// entry-point discipline. Its clients are graphio's imported channel
+// graphs and deadlint (internal/lint), which verifies the repository's
+// own lock-acquisition/wait graph in loop mode.
 
 // EdgeSet is an abstract directed dependency graph over n dense node
 // indices [0, n). Adjacency rows are kept sorted ascending and
@@ -81,8 +77,8 @@ func (e *EdgeSet) Succs(i int) []int32 { return e.adj[i] }
 
 // Fingerprint returns an order-independent dual 64-bit digest of the
 // edge set (node count included): two sets digest equal iff built from
-// the same nodes and edges, regardless of AddEdge order. It is the
-// EdgeCache's identity, mirroring core.TurnSet.Fingerprint.
+// the same nodes and edges, regardless of AddEdge order. It is the graph
+// half of ModeKey, mirroring core.TurnSet.Fingerprint.
 func (e *EdgeSet) Fingerprint() (uint64, uint64) {
 	const (
 		edgeSeedA = 0x8f14e45fceea167a
@@ -100,140 +96,4 @@ func (e *EdgeSet) Fingerprint() (uint64, uint64) {
 		}
 	}
 	return h1, h2
-}
-
-// EdgeReport is the verdict for an abstract edge set: the analogue of
-// Report for graphs with no underlying network.
-type EdgeReport struct {
-	Nodes   int
-	Edges   int
-	Acyclic bool
-	// Cycle holds one dependency cycle as node indices in dependency
-	// order (the last element depends on the first) when Acyclic is
-	// false.
-	Cycle []int
-}
-
-// String renders the report on one line.
-func (r EdgeReport) String() string {
-	status := "ACYCLIC (deadlock-free)"
-	if !r.Acyclic {
-		parts := make([]string, len(r.Cycle))
-		for i, v := range r.Cycle {
-			parts[i] = fmt.Sprintf("n%d", v)
-		}
-		status = "CYCLIC: " + strings.Join(parts, " => ") + " => (repeat)"
-	}
-	return fmt.Sprintf("edge-set: %d nodes, %d edges: %s", r.Nodes, r.Edges, status)
-}
-
-// VerifyEdgeSet checks an abstract edge set for acyclicity using every
-// available core: the same parallel Kahn peel and residual-only cycle DFS
-// as the concrete verification path, so the verdict and witness are
-// bit-identical for every worker count.
-func VerifyEdgeSet(e *EdgeSet) EdgeReport { return VerifyEdgeSetJobs(e, 0) }
-
-// VerifyEdgeSetJobs is VerifyEdgeSet over a bounded worker pool (jobs <=
-// 0 means all cores).
-func VerifyEdgeSetJobs(e *EdgeSet, jobs int) EdgeReport {
-	obsEdgeVerifies.Inc()
-	var st acyclicState
-	rep := EdgeReport{Nodes: len(e.adj), Edges: e.edges}
-	peeled, _ := kahnPeelAdj(context.Background(), e.adj, jobs, &st)
-	if peeled == len(e.adj) {
-		rep.Acyclic = true
-		return rep
-	}
-	obsEdgeCyclic.Inc()
-	idx := findCycleResidualAdj(e.adj, &st)
-	rep.Cycle = make([]int, len(idx))
-	for i, v := range idx {
-		rep.Cycle[i] = int(v)
-	}
-	return rep
-}
-
-// EdgeCache memoizes edge-set verdicts by the set's order-independent
-// fingerprint, with the same dual-hash discipline as VerifyCache: each
-// entry stores an independently derived check hash, and a key match with
-// a check mismatch is a miss, never a wrong report. Cached reports share
-// their Cycle slice; callers must treat it as read-only.
-type EdgeCache struct {
-	mu sync.RWMutex
-	m  map[uint64]edgeCacheEntry
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type edgeCacheEntry struct {
-	check uint64
-	rep   EdgeReport
-}
-
-// DefaultEdgeCache is the process-wide edge-set cache behind
-// VerifyEdgeSetCached.
-var DefaultEdgeCache = &EdgeCache{}
-
-// EdgeKey exposes the cache's dual-hash identity of an edge-set
-// verification, decorrelated from the VerifyKey and DeltaKey families by
-// its own seeds.
-func EdgeKey(e *EdgeSet) (key, check uint64) {
-	const (
-		edgeKeySeedA = 0x2545f4914f6cdd1d
-		edgeKeySeedB = 0x9e6c63d0876a9a47
-	)
-	f1, f2 := e.Fingerprint()
-	return mix64(f1 ^ edgeKeySeedA), mix64(f2*0x100000001b3 + edgeKeySeedB)
-}
-
-// Stats returns current hit/miss counters and the live entry count.
-func (c *EdgeCache) Stats() CacheStats {
-	c.mu.RLock()
-	n := len(c.m)
-	c.mu.RUnlock()
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
-}
-
-// Reset clears all entries and counters.
-func (c *EdgeCache) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
-// VerifyEdgeSetJobs returns the memoized verdict for the edge set,
-// computing and caching it on a miss (jobs <= 0 means all cores).
-// Reports are identical to the uncached path for every jobs value.
-func (c *EdgeCache) VerifyEdgeSetJobs(e *EdgeSet, jobs int) EdgeReport {
-	key, check := EdgeKey(e)
-	c.mu.RLock()
-	ent, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && ent.check == check {
-		c.hits.Add(1)
-		obsEdgeCacheHits.Inc()
-		return ent.rep
-	}
-	c.misses.Add(1)
-	obsEdgeCacheMisses.Inc()
-	rep := VerifyEdgeSetJobs(e, jobs)
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		c.m = make(map[uint64]edgeCacheEntry)
-	}
-	c.m[key] = edgeCacheEntry{check: check, rep: rep}
-	c.mu.Unlock()
-	return rep
-}
-
-// VerifyEdgeSetCached is VerifyEdgeSet through the DefaultEdgeCache — the
-// blessed entry point for tooling that verifies abstract dependency
-// graphs (deadlint's lock-order graph flows through here; the verifygate
-// discipline of "verdicts come from the cached engine" applies to the
-// checker itself).
-func VerifyEdgeSetCached(e *EdgeSet) EdgeReport {
-	return DefaultEdgeCache.VerifyEdgeSetJobs(e, 0)
 }

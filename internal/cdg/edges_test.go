@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -21,8 +22,8 @@ func TestEdgeSetVerifyAcyclic(t *testing.T) {
 	e.AddEdge(0, 3)
 	e.AddEdge(3, 4)
 	e.AddEdge(2, 4)
-	rep := VerifyEdgeSet(e)
-	if !rep.Acyclic {
+	rep := VerifyMode(e, ModeLoop, nil, nil, nil)
+	if !rep.OK {
 		t.Fatalf("DAG reported cyclic: %s", rep)
 	}
 	if rep.Nodes != 5 || rep.Edges != 5 {
@@ -37,8 +38,8 @@ func TestEdgeSetVerifyCycle(t *testing.T) {
 	e := ring(4)
 	// A peelable tail hanging off the ring must not confuse the witness.
 	e.AddEdge(1, 3) // chord inside the ring
-	rep := VerifyEdgeSet(e)
-	if rep.Acyclic {
+	rep := VerifyMode(e, ModeLoop, nil, nil, nil)
+	if rep.OK {
 		t.Fatal("ring reported acyclic")
 	}
 	if len(rep.Cycle) < 2 {
@@ -53,7 +54,7 @@ func TestEdgeSetVerifyCycle(t *testing.T) {
 			t.Fatalf("witness step %d -> %d is not an edge (cycle %v)", from, to, rep.Cycle)
 		}
 	}
-	if s := rep.String(); !strings.Contains(s, "CYCLIC") {
+	if s := rep.String(); !strings.Contains(s, "VIOLATED (cycle)") {
 		t.Fatalf("String() of cyclic report: %q", s)
 	}
 }
@@ -62,8 +63,8 @@ func TestEdgeSetSelfLoop(t *testing.T) {
 	e := NewEdgeSet(3)
 	e.AddEdge(0, 1)
 	e.AddEdge(2, 2)
-	rep := VerifyEdgeSet(e)
-	if rep.Acyclic {
+	rep := VerifyMode(e, ModeLoop, nil, nil, nil)
+	if rep.OK {
 		t.Fatal("self-loop reported acyclic")
 	}
 	if len(rep.Cycle) != 1 || rep.Cycle[0] != 2 {
@@ -76,16 +77,10 @@ func TestEdgeSetJobsInvariant(t *testing.T) {
 	for i := 0; i < 64; i += 3 {
 		e.AddEdge(i, (i+7)%64)
 	}
-	base := VerifyEdgeSetJobs(e, 1)
+	base := VerifyModeJobs(e, ModeLoop, nil, nil, nil, 1)
 	for _, jobs := range []int{2, 3, 8, 0} {
-		rep := VerifyEdgeSetJobs(e, jobs)
-		if rep.Acyclic != base.Acyclic || len(rep.Cycle) != len(base.Cycle) {
+		if rep := VerifyModeJobs(e, ModeLoop, nil, nil, nil, jobs); !reflect.DeepEqual(rep, base) {
 			t.Fatalf("jobs=%d diverges: %v vs %v", jobs, rep, base)
-		}
-		for i := range rep.Cycle {
-			if rep.Cycle[i] != base.Cycle[i] {
-				t.Fatalf("jobs=%d witness diverges: %v vs %v", jobs, rep.Cycle, base.Cycle)
-			}
 		}
 	}
 }
@@ -141,25 +136,24 @@ func TestEdgeSetFingerprintOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestEdgeCacheHitsAndEquivalence(t *testing.T) {
-	cache := &EdgeCache{}
+func TestModeCacheLoopHitsAndEquivalence(t *testing.T) {
+	cache := &ModeCache{}
 	e := ring(10)
-	first := cache.VerifyEdgeSetJobs(e, 0)
+	first := cache.VerifyModeJobs(e, ModeLoop, nil, nil, nil, 0)
 	// A structurally identical set built in a different order must hit.
 	f := NewEdgeSet(10)
 	for i := 9; i >= 0; i-- {
 		f.AddEdge(i, (i+1)%10)
 	}
-	second := cache.VerifyEdgeSetJobs(f, 0)
+	second := cache.VerifyModeJobs(f, ModeLoop, nil, nil, nil, 0)
 	st := cache.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	if first.Acyclic != second.Acyclic || len(first.Cycle) != len(second.Cycle) {
+	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached verdict diverges: %v vs %v", first, second)
 	}
-	uncached := VerifyEdgeSet(e)
-	if uncached.Acyclic != first.Acyclic || len(uncached.Cycle) != len(first.Cycle) {
+	if uncached := VerifyMode(e, ModeLoop, nil, nil, nil); !reflect.DeepEqual(uncached, first) {
 		t.Fatalf("cached vs uncached diverge: %v vs %v", first, uncached)
 	}
 	cache.Reset()
@@ -169,8 +163,8 @@ func TestEdgeCacheHitsAndEquivalence(t *testing.T) {
 }
 
 func TestEdgeSetEmpty(t *testing.T) {
-	rep := VerifyEdgeSet(NewEdgeSet(0))
-	if !rep.Acyclic || rep.Nodes != 0 {
+	rep := VerifyMode(NewEdgeSet(0), ModeLoop, nil, nil, nil)
+	if !rep.OK || rep.Nodes != 0 {
 		t.Fatalf("empty set: %+v", rep)
 	}
 }

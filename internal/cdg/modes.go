@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // This file extends the topology-free EdgeSet surface from plain
@@ -20,7 +18,7 @@ import (
 // parallel Kahn peel + residual-only cycle DFS as the concrete engine,
 // so verdicts and witnesses are bit-identical for every worker count,
 // and all four memoize through mode-aware cache keys derived from the
-// EdgeKey family.
+// edge set's fingerprint.
 //
 // Semantics (outputs are absorbing — a packet that reaches an output
 // channel is consumed, so edges out of outputs never propagate):
@@ -120,10 +118,10 @@ const (
 )
 
 // ModeReport is the verdict of one mode verification over an annotated
-// edge set. It is the EdgeReport of the multi-mode surface: witnesses
-// are dense channel indices produced by the same deterministic
-// machinery (parallel Kahn peel, residual-only DFS, ascending-order
-// BFS), so reports are bit-identical for every worker count.
+// edge set. Witnesses are dense channel indices produced by the same
+// deterministic machinery (parallel Kahn peel, residual-only DFS,
+// ascending-order BFS), so reports are bit-identical for every worker
+// count.
 type ModeReport struct {
 	Mode  GraphMode
 	Nodes int
@@ -612,12 +610,11 @@ func toInts(v []int32) []int {
 }
 
 // ModeKey is the dual-hash cache identity of one mode verification:
-// the EdgeKey fingerprint family extended with the mode and the
+// the edge set's fingerprint extended with the mode and the
 // order-independent digests of the input/output/escape annotation
 // sets. Two verifications share a key iff they ask the same question
 // of the same graph — in particular, the four modes of one graph never
-// share keys (pinned by test), and none collides with the EdgeKey of
-// the bare edge set.
+// share keys (pinned by test).
 func ModeKey(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (key, check uint64) {
 	const (
 		modeKeySeedA = 0x71c9d37af3b26d61
@@ -648,58 +645,15 @@ func setDigest(ids []int32, seed uint64) uint64 {
 	return h
 }
 
-// ModeCache memoizes mode verdicts under ModeKey with the engine-wide
-// dual-hash discipline: a key match with a check mismatch is a miss,
-// never a wrong report. Cached reports share their witness slices;
-// callers must treat them as read-only.
+// ModeCache memoizes mode verdicts under ModeKey. Cached reports share
+// their witness slices; callers must treat them as read-only.
 type ModeCache struct {
-	mu sync.RWMutex
-	m  map[uint64]modeCacheEntry
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type modeCacheEntry struct {
-	check uint64
-	rep   ModeReport
+	Cache[ModeReport]
 }
 
 // DefaultModeCache is the process-wide mode-verdict cache behind
 // VerifyModeCached.
 var DefaultModeCache = &ModeCache{}
-
-// Stats returns current hit/miss counters and the live entry count.
-func (c *ModeCache) Stats() CacheStats {
-	c.mu.RLock()
-	n := len(c.m)
-	c.mu.RUnlock()
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
-}
-
-// Reset clears all entries and counters.
-func (c *ModeCache) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
-// Lookup probes the cache without computing. It is the serving layer's
-// fast path: a hit is a verdict with zero engine work.
-func (c *ModeCache) Lookup(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (ModeReport, bool) {
-	key, check := ModeKey(e, mode, inputs, outputs, escape)
-	c.mu.RLock()
-	ent, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && ent.check == check {
-		c.hits.Add(1)
-		obsModeCacheHits.Inc()
-		return ent.rep, true
-	}
-	return ModeReport{}, false
-}
 
 // VerifyModeJobs returns the memoized mode verdict, computing and
 // caching it on a miss (jobs <= 0 means all cores).
@@ -712,32 +666,15 @@ func (c *ModeCache) VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, 
 // verification returns ctx's error and is never cached.
 func (c *ModeCache) VerifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) (ModeReport, error) {
 	key, check := ModeKey(e, mode, inputs, outputs, escape)
-	c.mu.RLock()
-	ent, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && ent.check == check {
-		c.hits.Add(1)
-		obsModeCacheHits.Inc()
-		return ent.rep, nil
-	}
-	c.misses.Add(1)
-	obsModeCacheMisses.Inc()
-	rep, err := verifyModeCtx(ctx, e, mode, inputs, outputs, escape, jobs)
-	if err != nil {
-		return ModeReport{}, err
-	}
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		c.m = make(map[uint64]modeCacheEntry)
-	}
-	c.m[key] = modeCacheEntry{check: check, rep: rep}
-	c.mu.Unlock()
-	return rep, nil
+	return c.Do(ctx, key, check, func(ctx context.Context) (ModeReport, error) {
+		return verifyModeCtx(ctx, e, mode, inputs, outputs, escape, jobs)
+	})
 }
 
 // VerifyModeCached is VerifyMode through the DefaultModeCache — the
-// blessed entry point for tooling that proves liveness/escape/
-// subrelation properties of imported channel dependence graphs.
+// blessed entry point for tooling that proves loop/liveness/escape/
+// subrelation properties of abstract channel dependence graphs
+// (graphio imports, deadlint's lock-order graph).
 func VerifyModeCached(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) ModeReport {
 	return DefaultModeCache.VerifyModeJobs(e, mode, inputs, outputs, escape, 0)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"ebda/internal/obs"
 )
 
 // modeGraph builds an EdgeSet from explicit edges.
@@ -40,10 +42,6 @@ func TestModeLoop(t *testing.T) {
 		t.Fatalf("ring: %+v", rep)
 	}
 	checkCycle(t, ring, rep.Cycle)
-	// Loop mode must agree with the bare edge-set verdict.
-	if er := VerifyEdgeSet(ring); er.Acyclic {
-		t.Fatal("VerifyEdgeSet disagrees with loop mode")
-	}
 }
 
 func TestModeLivenessVerified(t *testing.T) {
@@ -204,7 +202,7 @@ func TestModeSubrelFound(t *testing.T) {
 	if len(seen) != e.NumNodes()-len(out) {
 		t.Fatalf("subrelation covers %d channels, want %d", len(seen), e.NumNodes()-len(out))
 	}
-	if sr := VerifyEdgeSet(sub); !sr.Acyclic {
+	if sr := VerifyMode(sub, ModeLoop, nil, nil, nil); !sr.OK {
 		t.Fatalf("subrelation is cyclic: %v", sr)
 	}
 	// The found subrelation's senders must also pass escape-mode
@@ -271,15 +269,12 @@ func TestModeJobsInvariance(t *testing.T) {
 }
 
 // TestModeKeyNoCollisions pins the acceptance criterion: mode-aware
-// cache keys never collide across modes for the same graph, and none
-// collides with the bare EdgeKey.
+// cache keys never collide across modes for the same graph.
 func TestModeKeyNoCollisions(t *testing.T) {
 	e, in, out := escapeOKGraph()
 	esc := []int{4}
 	modes := []GraphMode{ModeLoop, ModeLiveness, ModeEscape, ModeSubrel}
 	keys := make(map[uint64]string)
-	ek, _ := EdgeKey(e)
-	keys[ek] = "EdgeKey"
 	for _, m := range modes {
 		k, _ := ModeKey(e, m, in, out, esc)
 		if prev, dup := keys[k]; dup {
@@ -315,7 +310,7 @@ func TestModeKeyNoCollisions(t *testing.T) {
 func TestModeCache(t *testing.T) {
 	e, in, out := escapeOKGraph()
 	c := &ModeCache{}
-	if _, ok := c.Lookup(e, ModeLiveness, in, out, nil); ok {
+	if _, ok := c.Lookup(ModeKey(e, ModeLiveness, in, out, nil)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	want := VerifyMode(e, ModeLiveness, in, out, nil)
@@ -323,7 +318,7 @@ func TestModeCache(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cached %+v != direct %+v", got, want)
 	}
-	if rep, ok := c.Lookup(e, ModeLiveness, in, out, nil); !ok || !reflect.DeepEqual(rep, want) {
+	if rep, ok := c.Lookup(ModeKey(e, ModeLiveness, in, out, nil)); !ok || !reflect.DeepEqual(rep, want) {
 		t.Fatalf("lookup after fill: ok=%v %+v", ok, rep)
 	}
 	st := c.Stats()
@@ -345,6 +340,38 @@ func TestModeCache(t *testing.T) {
 	c.Reset()
 	if st := c.Stats(); st.Entries != 0 || st.Hits != 0 {
 		t.Fatalf("reset: %+v", st)
+	}
+}
+
+// TestModeCacheEvictionCounting drives the mode cache through an epoch
+// flush: evictions are counted in Stats and in the mode series, and the
+// process-wide entries gauge tracks the cache's live size.
+func TestModeCacheEvictionCounting(t *testing.T) {
+	old := maxCacheEntries
+	maxCacheEntries = 2
+	defer func() { maxCacheEntries = old }()
+
+	gauge := obs.Default.Gauge("ebda_mode_cache_entries", "")
+	evictions := obs.Default.Counter("ebda_mode_cache_evictions_total", "")
+	g0, e0 := gauge.Value(), evictions.Value()
+	e, in, out := escapeOKGraph()
+	c := &ModeCache{}
+	for _, mode := range []GraphMode{ModeLoop, ModeLiveness, ModeSubrel} {
+		c.VerifyModeJobs(e, mode, in, out, nil, 1)
+	}
+	st := c.Stats()
+	if st.Misses != 3 || st.Evictions != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 3 misses, 2 evictions, 1 entry", st)
+	}
+	if got := evictions.Value() - e0; got != 2 {
+		t.Fatalf("ebda_mode_cache_evictions_total moved by %d, want 2", got)
+	}
+	if got := gauge.Value() - g0; got != int64(st.Entries) {
+		t.Fatalf("ebda_mode_cache_entries moved by %d, Stats().Entries = %d", got, st.Entries)
+	}
+	c.Reset()
+	if got := gauge.Value() - g0; got != 0 {
+		t.Fatalf("gauge moved by %d after Reset, want 0", got)
 	}
 }
 

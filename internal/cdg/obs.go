@@ -19,17 +19,8 @@ var (
 	obsVerifyCancelled = obs.NewCounter("ebda_cdg_verify_cancelled_total",
 		"verifications abandoned by context cancellation before a verdict")
 
-	obsEdgeVerifies = obs.NewCounter("ebda_cdg_edge_verifies_total",
-		"abstract edge-set verifications (topology-free graphs, e.g. deadlint lock graphs)")
-	obsEdgeCyclic = obs.NewCounter("ebda_cdg_edge_verify_cyclic_total",
-		"abstract edge-set verifications whose graph contained a cycle")
-	obsEdgeCacheHits = obs.NewCounter("ebda_edge_cache_hits_total",
-		"edge-set cache probes answered from a memoized verdict")
-	obsEdgeCacheMisses = obs.NewCounter("ebda_edge_cache_misses_total",
-		"edge-set cache probes that recomputed the verdict")
-
 	obsModeLoop = obs.NewCounter(obs.Label("ebda_cdg_mode_verifies_total", "mode", "loop"),
-		"loop-mode (full-graph acyclicity) verifications of imported channel graphs")
+		"loop-mode (full-graph acyclicity) verifications of abstract channel graphs (graphio imports, deadlint lock graphs)")
 	obsModeLiveness = obs.NewCounter(obs.Label("ebda_cdg_mode_verifies_total", "mode", "liveness"),
 		"liveness-mode verifications of imported channel graphs")
 	obsModeEscape = obs.NewCounter(obs.Label("ebda_cdg_mode_verifies_total", "mode", "escape"),
@@ -38,19 +29,7 @@ var (
 		"valid-subrelation searches over imported channel graphs")
 	obsModeViolations = obs.NewCounter("ebda_cdg_mode_violations_total",
 		"mode verifications whose property was violated")
-	obsModeCacheHits = obs.NewCounter("ebda_mode_cache_hits_total",
-		"mode cache probes answered from a memoized verdict")
-	obsModeCacheMisses = obs.NewCounter("ebda_mode_cache_misses_total",
-		"mode cache probes that recomputed the verdict")
 
-	obsCacheHits = obs.NewCounter("ebda_verify_cache_hits_total",
-		"verify cache probes answered from a memoized report")
-	obsCacheMisses = obs.NewCounter("ebda_verify_cache_misses_total",
-		"verify cache probes that recomputed the report")
-	obsCacheEvictions = obs.NewCounter("ebda_verify_cache_evictions_total",
-		"entries dropped by verify cache epoch flushes")
-	obsCacheEntries = obs.NewGauge("ebda_verify_cache_entries",
-		"live entries in the default verify cache")
 	obsSnapshotSaved = obs.NewCounter("ebda_verify_cache_snapshot_saved_total",
 		"cache entries written to verify-cache snapshots")
 	obsSnapshotLoaded = obs.NewCounter("ebda_verify_cache_snapshot_loaded_total",
@@ -76,9 +55,32 @@ var (
 	obsPoolFlushes = obs.NewCounter("ebda_workspace_pool_flushes_total",
 		"workspace pool epoch flushes (distinct-shape bound exceeded)")
 
+	verifyCacheSeries = newCacheSeries("ebda_verify_cache", "verify")
+	modeCacheSeries   = newCacheSeries("ebda_mode_cache", "mode")
+
 	phaseMode   = obs.NewPhase("cdg.mode", "")
 	phaseVerify = obs.NewPhase("cdg.verify", "")
 	phaseEdges  = obs.NewPhase("cdg.addTurnEdges", "cdg.verify")
 	phaseAcycl  = obs.NewPhase("cdg.acyclicity", "cdg.verify")
 	phaseDelta  = obs.NewPhase("cdg.delta", "")
 )
+
+// cacheSeries is the metric set every Cache of one verdict kind records
+// into; each kind registers the same four series under its own prefix.
+type cacheSeries struct {
+	hits, misses, evictions *obs.Counter
+	entries                 *obs.Gauge
+}
+
+func newCacheSeries(prefix, kind string) cacheSeries {
+	return cacheSeries{
+		hits: obs.NewCounter(prefix+"_hits_total",
+			kind+" cache probes answered from a memoized verdict"),
+		misses: obs.NewCounter(prefix+"_misses_total",
+			kind+" cache probes that recomputed the verdict"),
+		evictions: obs.NewCounter(prefix+"_evictions_total",
+			"entries dropped by "+kind+" cache epoch flushes"),
+		entries: obs.NewGauge(prefix+"_entries",
+			"live entries across every "+kind+" cache in the process"),
+	}
+}

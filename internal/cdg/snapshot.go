@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"ebda/internal/channel"
 	"ebda/internal/topology"
@@ -59,6 +58,8 @@ const (
 	snapMaxEntries = 1 << 24
 	snapMaxCycle   = 1 << 20
 	snapMaxName    = 1 << 12
+	// snapChannelBytes is the encoded size of one cycle channel.
+	snapChannelBytes = 5*8 + 2
 )
 
 var snapshotMagic = [8]byte{'E', 'B', 'D', 'A', 'S', 'N', 'A', 'P'}
@@ -99,18 +100,7 @@ const fnvOffset = 0xcbf29ce484222325
 // Reports are deep-copied by encoding; the snapshot shares no memory
 // with live cache entries.
 func (c *VerifyCache) SaveSnapshot(w io.Writer) (int, error) {
-	type keyed struct {
-		key uint64
-		e   cacheEntry
-	}
-	c.mu.RLock()
-	entries := make([]keyed, 0, len(c.m))
-	for k, e := range c.m {
-		entries = append(entries, keyed{key: k, e: e})
-	}
-	c.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-
+	entries := c.entries()
 	fw := &fnvWriter{w: bufio.NewWriter(w), sum: fnvOffset}
 	if _, err := fw.Write(snapshotMagic[:]); err != nil {
 		return 0, err
@@ -123,11 +113,11 @@ func (c *VerifyCache) SaveSnapshot(w io.Writer) (int, error) {
 	}
 	var repBuf []byte
 	for _, kv := range entries {
-		repBuf = appendReport(repBuf[:0], kv.e.rep)
+		repBuf = appendReport(repBuf[:0], kv.rep)
 		if err := putU64(fw, kv.key); err != nil {
 			return 0, err
 		}
-		if err := putU64(fw, kv.e.check); err != nil {
+		if err := putU64(fw, kv.check); err != nil {
 			return 0, err
 		}
 		if err := putU32(fw, uint32(len(repBuf))); err != nil {
@@ -186,11 +176,9 @@ func (c *VerifyCache) LoadSnapshot(r io.Reader) (int, error) {
 	if count > snapMaxEntries {
 		return 0, fmt.Errorf("%w: implausible entry count %d", ErrSnapshotCorrupt, count)
 	}
-	type keyed struct {
-		key uint64
-		e   cacheEntry
-	}
-	entries := make([]keyed, 0, count)
+	// The count is untrusted until the trailer verifies, so it bounds the
+	// loop but not the up-front allocation.
+	entries := make([]keyedEntry[Report], 0, min(count, 1<<10))
 	for i := uint64(0); i < count; i++ {
 		key, err := getU64(fr)
 		if err != nil {
@@ -207,15 +195,18 @@ func (c *VerifyCache) LoadSnapshot(r io.Reader) (int, error) {
 		if replen > snapMaxName+snapMaxCycle*48+64 {
 			return 0, fmt.Errorf("%w: entry %d: implausible report length %d", ErrSnapshotCorrupt, i, replen)
 		}
-		buf := make([]byte, replen)
-		if _, err := io.ReadFull(fr, buf); err != nil {
+		buf, err := io.ReadAll(io.LimitReader(fr, int64(replen)))
+		if err == nil && len(buf) < int(replen) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return 0, fmt.Errorf("%w: entry %d: short report: %v", ErrSnapshotCorrupt, i, err)
 		}
 		rep, err := decodeReport(buf)
 		if err != nil {
 			return 0, fmt.Errorf("%w: entry %d: %v", ErrSnapshotCorrupt, i, err)
 		}
-		entries = append(entries, keyed{key: key, e: cacheEntry{check: check, rep: rep}})
+		entries = append(entries, keyedEntry[Report]{key, cacheEntry[Report]{check, rep}})
 	}
 	// The trailer hash covers everything read so far; capture the sum
 	// before the trailer itself passes through the hashing reader.
@@ -231,22 +222,7 @@ func (c *VerifyCache) LoadSnapshot(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("%w: trailing data after trailer", ErrSnapshotCorrupt)
 	}
 
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[uint64]cacheEntry, len(entries))
-	}
-	for _, kv := range entries {
-		if len(c.m) >= maxCacheEntries {
-			if n := len(c.m); n > 0 {
-				c.evictions.Add(uint64(n))
-				obsCacheEvictions.Add(uint64(n))
-			}
-			c.m = make(map[uint64]cacheEntry)
-		}
-		c.m[kv.key] = kv.e
-	}
-	obsCacheEntries.Set(int64(len(c.m)))
-	c.mu.Unlock()
+	c.put(entries...)
 	obsSnapshotLoaded.Add(uint64(len(entries)))
 	return len(entries), nil
 }
@@ -320,6 +296,11 @@ func decodeReport(buf []byte) (Report, error) {
 	cyclen, buf, err := takeU32(buf)
 	if err != nil || cyclen > snapMaxCycle {
 		return rep, fmt.Errorf("bad cycle length")
+	}
+	// Each encoded channel is five u64s and two flag bytes; a count the
+	// buffer cannot hold must not drive the allocation below.
+	if uint64(cyclen)*snapChannelBytes > uint64(len(buf)) {
+		return rep, fmt.Errorf("short cycle")
 	}
 	if cyclen > 0 {
 		rep.Cycle = make([]Channel, cyclen)

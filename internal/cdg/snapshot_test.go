@@ -14,7 +14,7 @@ import (
 // snapshotCache builds a cache holding both acyclic and cyclic verdicts
 // (cyclic entries carry Cycle witnesses, exercising the full report
 // codec) and returns it with the design list used to populate it.
-func snapshotCache(t *testing.T) (*VerifyCache, []*topology.Network) {
+func snapshotCache(t testing.TB) (*VerifyCache, []*topology.Network) {
 	t.Helper()
 	c := &VerifyCache{}
 	nets := []*topology.Network{
@@ -51,28 +51,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Every lookup through the warm-started cache must be bit-identical
-	// to the source, via both the shape probe and the raw-key probe.
+	// to the source.
 	for _, net := range nets {
 		for _, mk := range []int{0, 1} {
 			ts := xyTurnSet()
 			if mk == 1 {
 				ts = allTurnSet()
 			}
-			want, ok := src.Lookup(net, nil, ts)
+			want, ok := src.Lookup(VerifyKey(net, nil, ts))
 			if !ok {
 				t.Fatalf("%s: source cache lost an entry", net.Name())
 			}
-			got, ok := dst.Lookup(net, nil, ts)
+			got, ok := dst.Lookup(VerifyKey(net, nil, ts))
 			if !ok {
 				t.Fatalf("%s: warm-started cache misses", net.Name())
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: report diverged after round-trip:\n%+v\nvs\n%+v", net.Name(), want, got)
-			}
-			key, check := VerifyKey(net, nil, ts)
-			byKey, ok := dst.LookupKey(key, check)
-			if !ok || !reflect.DeepEqual(want, byKey) {
-				t.Fatalf("%s: LookupKey diverged after round-trip", net.Name())
 			}
 		}
 	}
@@ -236,7 +231,7 @@ func TestSnapshotLoadConcurrentWithVerifies(t *testing.T) {
 	// cyclic — wrap links close a dependency ring without extra VCs).
 	wantXY := make([]bool, len(nets))
 	for i, net := range nets {
-		rep, ok := src.Lookup(net, nil, xyTurnSet())
+		rep, ok := src.Lookup(VerifyKey(net, nil, xyTurnSet()))
 		if !ok {
 			t.Fatalf("%s: source cache lost an entry", net.Name())
 		}
@@ -270,11 +265,64 @@ func TestSnapshotLoadConcurrentWithVerifies(t *testing.T) {
 
 	// Whatever interleaving happened, surviving entries answer correctly.
 	for i, net := range nets {
-		if rep, ok := c.Lookup(net, nil, xyTurnSet()); ok && rep.Acyclic != wantXY[i] {
+		if rep, ok := c.Lookup(VerifyKey(net, nil, xyTurnSet())); ok && rep.Acyclic != wantXY[i] {
 			t.Fatalf("%s: cache serves a wrong verdict after concurrent loads", net.Name())
 		}
-		if rep, ok := c.Lookup(net, nil, allTurnSet()); ok && rep.Acyclic {
+		if rep, ok := c.Lookup(VerifyKey(net, nil, allTurnSet())); ok && rep.Acyclic {
 			t.Fatalf("%s: cache serves a wrong verdict after concurrent loads", net.Name())
 		}
 	}
+}
+
+// FuzzLoadSnapshot holds the loader to its contract on arbitrary bytes:
+// a stream is either accepted, and then survives a save/load round trip
+// byte-for-byte, or rejected with a typed error and no entry inserted.
+func FuzzLoadSnapshot(f *testing.F) {
+	src, _ := snapshotCache(f)
+	var good, empty bytes.Buffer
+	if _, err := src.SaveSnapshot(&good); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := (&VerifyCache{}).SaveSnapshot(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add(empty.Bytes())
+	f.Add(good.Bytes()[:good.Len()/2])
+	f.Add(snapshotMagic[:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := &VerifyCache{}
+		c.put(keyedEntry[Report]{1, cacheEntry[Report]{2, Report{Network: "resident"}}})
+		n, err := c.LoadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			if got := c.Stats().Entries; got != 1 {
+				t.Fatalf("rejected load left %d entries, want the 1 resident", got)
+			}
+			return
+		}
+		d := &VerifyCache{}
+		if m, err := d.LoadSnapshot(bytes.NewReader(data)); err != nil || m != n {
+			t.Fatalf("reload = (%d, %v), first load carried %d", m, err, n)
+		}
+		var first, second bytes.Buffer
+		if _, err := d.SaveSnapshot(&first); err != nil {
+			t.Fatal(err)
+		}
+		e := &VerifyCache{}
+		if _, err := e.LoadSnapshot(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("saved snapshot does not load: %v", err)
+		}
+		if _, err := e.SaveSnapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("save/load/save is not byte-stable")
+		}
+		if d.Stats().Entries != e.Stats().Entries {
+			t.Fatalf("round trip changed the entry count: %d vs %d", d.Stats().Entries, e.Stats().Entries)
+		}
+	})
 }

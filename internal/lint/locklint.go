@@ -137,6 +137,9 @@ func locklintFunc(pass *Pass, fd *ast.FuncDecl, guarded map[*types.Var]string) {
 		if !ok {
 			return true
 		}
+		// Fields reached through an instantiated generic type are
+		// distinct objects; the guard is declared on their origin.
+		field = field.Origin()
 		owner, isGuarded := guarded[field]
 		if !isGuarded {
 			return true

@@ -68,3 +68,22 @@ func passed(xs []int, out chan<- int) {
 		}(x)
 	}
 }
+
+// genericCache is the same convention on a generic type: fields reached
+// through the instantiated receiver are still guarded.
+type genericCache[V any] struct {
+	mu sync.RWMutex
+	m  map[uint64]V
+}
+
+// lookupUnlocked reads the guarded map with no lock on any path.
+func (c *genericCache[V]) lookupUnlocked(k uint64) V {
+	return c.m[k] // want `guarded by mu`
+}
+
+// lookup is the correct read path.
+func (c *genericCache[V]) lookup(k uint64) V {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.m[k]
+}

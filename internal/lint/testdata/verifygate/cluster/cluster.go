@@ -59,18 +59,18 @@ func forgedPeerVerdict(channels, edges int, acyclic bool) cdg.Report {
 // cachedRouteVerdict is the blessed path for a replica that owns the
 // key: Lookup for hits, the cache's compute for misses.
 func cachedRouteVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	if rep, ok := c.Lookup(net, nil, ts); ok {
+	if rep, ok := c.Lookup(cdg.VerifyKey(net, nil, ts)); ok {
 		return rep, nil
 	}
 	return c.VerifyTurnSetCtx(ctx, net, nil, ts, 1)
 }
 
 // peerProbe is the blessed path for a replica that does not own the
-// key: the dual-hash identity routes the request and LookupKey answers
+// key: the dual-hash identity routes the request and Lookup answers
 // from the owner's memoized verdicts without recomputing.
 func peerProbe(c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, bool) {
 	key, check := cdg.VerifyKey(net, nil, ts)
-	return c.LookupKey(key, check)
+	return c.Lookup(key, check)
 }
 
 // routeErrorPath returns the zero-value Report beside a non-nil error;

@@ -33,8 +33,8 @@ func debugCacheCompute(ctx context.Context, cache *cdg.VerifyCache, net *topolog
 	return cache.VerifyTurnSetCtx(ctx, net, nil, ts, 1) // want `verification call cdg.VerifyTurnSetCtx from the observability layer`
 }
 
-// publishedState is the sanctioned read: a cache lookup only ever
-// returns verdicts the serving layer already produced.
-func publishedState(cache *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, bool) {
-	return cache.Lookup(net, nil, ts)
+// publishedState is the sanctioned read: a cache lookup by raw identity
+// only ever returns verdicts the serving layer already produced.
+func publishedState(cache *cdg.VerifyCache, key, check uint64) (cdg.Report, bool) {
+	return cache.Lookup(key, check)
 }

@@ -41,14 +41,14 @@ func rawBuild(net *topology.Network, ts *core.TurnSet) *cdg.Graph {
 
 // uncachedEdgeSet verifies an abstract edge-set graph outside the cache;
 // in a serving package even topology-free verdicts must be memoized
-// through cdg.VerifyEdgeSetCached.
+// through cdg.VerifyModeCached.
 func uncachedEdgeSet(e *cdg.EdgeSet) bool {
-	return cdg.VerifyEdgeSet(e).Acyclic // want `uncached verify call cdg.VerifyEdgeSet in`
+	return cdg.VerifyMode(e, cdg.ModeLoop, nil, nil, nil).OK // want `uncached verify call cdg.VerifyMode in`
 }
 
 // cachedEdgeSet is the blessed topology-free path.
 func cachedEdgeSet(e *cdg.EdgeSet) bool {
-	return cdg.VerifyEdgeSetCached(e).Acyclic
+	return cdg.VerifyModeCached(e, cdg.ModeLoop, nil, nil, nil).OK
 }
 
 // uncachedMode proves a multi-mode property of an imported channel
@@ -63,11 +63,11 @@ func uncachedModeJobs(e *cdg.EdgeSet, in, out []int) bool {
 	return cdg.VerifyModeJobs(e, cdg.ModeSubrel, in, out, nil, 4).OK // want `uncached verify call cdg.VerifyModeJobs in`
 }
 
-// cachedMode is the blessed multi-mode path: ModeCache.Lookup for hits,
+// cachedMode is the blessed multi-mode path: Cache.Lookup for hits,
 // the cache's context-aware compute for misses, cdg.ModeKey for
 // coalescing.
 func cachedMode(ctx context.Context, c *cdg.ModeCache, e *cdg.EdgeSet, in, out []int) (cdg.ModeReport, error) {
-	if rep, ok := c.Lookup(e, cdg.ModeEscape, in, out, nil); ok {
+	if rep, ok := c.Lookup(cdg.ModeKey(e, cdg.ModeEscape, in, out, nil)); ok {
 		return rep, nil
 	}
 	key, _ := cdg.ModeKey(e, cdg.ModeEscape, in, out, nil)
@@ -117,9 +117,10 @@ func deltaPoolVerdict(ctx context.Context, net *topology.Network, ts *core.TurnS
 }
 
 // cachedDeltaVerdict is the blessed serving path for incremental
-// verdicts: LookupDelta for hits, the cache's delta compute for misses.
+// verdicts: Lookup by DeltaKey for hits, the cache's delta compute for
+// misses.
 func cachedDeltaVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet, diff cdg.Diff) (cdg.Report, error) {
-	if rep, ok := c.LookupDelta(net, nil, ts, diff); ok {
+	if rep, ok := c.Lookup(cdg.DeltaKey(net, nil, ts, diff)); ok {
 		return rep, nil
 	}
 	return c.VerifyDeltaCtx(ctx, net, nil, ts, diff, 1)
@@ -136,7 +137,7 @@ func cachedDeltaHelpers(net *topology.Network, ts *core.TurnSet, diff cdg.Diff) 
 // cachedVerdict is the blessed serving path: Lookup for hits, then the
 // cache's context-aware compute for misses.
 func cachedVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	if rep, ok := c.Lookup(net, nil, ts); ok {
+	if rep, ok := c.Lookup(cdg.VerifyKey(net, nil, ts)); ok {
 		return rep, nil
 	}
 	return c.VerifyTurnSetCtx(ctx, net, nil, ts, 1)

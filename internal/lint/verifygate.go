@@ -21,19 +21,21 @@ const cdgPath = "ebda/internal/cdg"
 //
 // Serving packages (ebda/internal/serve, ebda/internal/cluster and
 // anything whose import path ends in "/serve" or "/cluster" — the shard
-// router forwards served verdicts, so it carries the same contract)
-// are held to a stricter rule: every verdict they hand a
-// client must flow through the verify cache — VerifyCache.Lookup plus a
-// cache-computing entry point — so responses are memoized, coalescible
-// and identical across requests. In those packages the uncached pooled
-// entry points (cdg.VerifyTurnSet / VerifyTurnSetJobs / VerifyTurnSetCtx,
-// VerifyChain, VerifyRelation, BuildFromTurnSet and the Workspace verify
-// methods) are also forbidden. The same contract covers incremental
-// verdicts: serving code reaches them only through the cache-layer delta
-// entry points (VerifyCache.LookupDelta / VerifyDeltaCtx and friends),
-// never by constructing a cdg.DeltaWorkspace, checking one out of a
-// cdg.DeltaPool, or calling its Verify methods directly — a bypassed
-// delta verdict would be unmemoized and uncoalescible.
+// router forwards served verdicts, so it carries the same contract) are
+// held to a stricter rule: every verdict they hand a client must flow
+// through a verdict cache — Cache.Lookup under the kind's dual-hash
+// identity (cdg.VerifyKey, DeltaKey or ModeKey) plus the VerifyCache or
+// ModeCache computing entry point — so responses are memoized,
+// coalescible and identical across requests. In those packages the
+// uncached pooled entry points (cdg.VerifyTurnSet / VerifyTurnSetJobs /
+// VerifyTurnSetCtx, VerifyChain, VerifyRelation, BuildFromTurnSet,
+// VerifyMode / VerifyModeJobs and the Workspace verify methods) are also
+// forbidden. The same contract covers incremental verdicts: serving code
+// reaches them only through the cache-layer delta entry points
+// (Cache.Lookup by cdg.DeltaKey, VerifyCache.VerifyDeltaCtx and
+// friends), never by constructing a cdg.DeltaWorkspace, checking one out
+// of a cdg.DeltaPool, or calling its Verify methods directly — a
+// bypassed delta verdict would be unmemoized and uncoalescible.
 //
 // The observability layer (ebda/internal/obs and everything under it,
 // including obshttp and any /obshttp-suffixed package) carries the
@@ -64,7 +66,6 @@ var uncachedVerifyFuncs = map[string]bool{
 	"VerifyTurnSet": true, "VerifyTurnSetJobs": true, "VerifyTurnSetCtx": true,
 	"VerifyChain": true, "VerifyRelation": true, "VerifyRelationJobs": true,
 	"BuildFromTurnSet": true, "BuildFromTurnSetJobs": true,
-	"VerifyEdgeSet": true, "VerifyEdgeSetJobs": true,
 	"VerifyMode": true, "VerifyModeJobs": true,
 }
 
@@ -118,10 +119,10 @@ func runVerifygate(pass *Pass) error {
 				}
 				if sig.Recv() == nil {
 					if serving && uncachedVerifyFuncs[fn.Name()] {
-						pass.Reportf(x.Pos(), "uncached verify call cdg.%s in a serving package; served verdicts must flow through the verify cache (VerifyCache.Lookup / VerifyTurnSetCtx or the Cached entry points)", fn.Name())
+						pass.Reportf(x.Pos(), "uncached verify call cdg.%s in a serving package; served verdicts must flow through the verify cache (Cache.Lookup, then VerifyCache.VerifyTurnSetCtx / ModeCache.VerifyModeCtx or the Cached entry points)", fn.Name())
 					}
 					if serving && deltaBypassFuncs[fn.Name()] {
-						pass.Reportf(x.Pos(), "direct delta workspace construction cdg.%s in a serving package; served delta verdicts must flow through the delta cache entry points (VerifyCache.LookupDelta / VerifyDeltaCtx)", fn.Name())
+						pass.Reportf(x.Pos(), "direct delta workspace construction cdg.%s in a serving package; served delta verdicts must flow through the delta cache entry points (Cache.Lookup by cdg.DeltaKey, then VerifyCache.VerifyDeltaCtx)", fn.Name())
 					}
 					return true
 				}
@@ -133,10 +134,10 @@ func runVerifygate(pass *Pass) error {
 					pass.Reportf(x.Pos(), "workspace verify call cdg.Workspace.%s in a serving package; served verdicts must flow through the verify cache", fn.Name())
 				}
 				if serving && recv == "DeltaWorkspace" && strings.HasPrefix(fn.Name(), "Verify") {
-					pass.Reportf(x.Pos(), "delta workspace verify call cdg.DeltaWorkspace.%s in a serving package; served delta verdicts must flow through the delta cache entry points (VerifyCache.LookupDelta / VerifyDeltaCtx)", fn.Name())
+					pass.Reportf(x.Pos(), "delta workspace verify call cdg.DeltaWorkspace.%s in a serving package; served delta verdicts must flow through the delta cache entry points (Cache.Lookup by cdg.DeltaKey, then VerifyCache.VerifyDeltaCtx)", fn.Name())
 				}
 				if serving && recv == "DeltaPool" && strings.HasPrefix(fn.Name(), "Get") {
-					pass.Reportf(x.Pos(), "delta pool checkout cdg.DeltaPool.%s in a serving package; served delta verdicts must flow through the delta cache entry points (VerifyCache.LookupDelta / VerifyDeltaCtx)", fn.Name())
+					pass.Reportf(x.Pos(), "delta pool checkout cdg.DeltaPool.%s in a serving package; served delta verdicts must flow through the delta cache entry points (Cache.Lookup by cdg.DeltaKey, then VerifyCache.VerifyDeltaCtx)", fn.Name())
 				}
 			case *ast.CompositeLit:
 				// The zero value cdg.Report{} carries no verdict (error

@@ -9,7 +9,6 @@ import (
 
 	"ebda/internal/cdg"
 	"ebda/internal/graphio"
-	"ebda/internal/obs/trace"
 )
 
 // POST /v1/verify/graph: multi-mode verification of an arbitrary
@@ -17,9 +16,10 @@ import (
 // internal/graphio. Requests carry either the structured JSON graph or
 // the constellation text form verbatim, plus a mode; verdicts flow
 // through the same admission queue, per-request deadline, singleflight
-// group, and provenance discipline as /v1/verify, memoized in the
-// process-wide mode cache under cdg.ModeKey. The endpoint is local to
-// each replica: mode keys are not part of the cluster ring's keyspace.
+// group, and provenance discipline as /v1/verify — the one verdict
+// pipeline — memoized in the server's mode cache under cdg.ModeKey. The
+// endpoint is local to each replica: mode keys are not part of the
+// cluster ring's keyspace.
 
 // Graph request limits.
 const (
@@ -112,73 +112,6 @@ func (req *GraphVerifyRequest) build() (*builtGraph, error) {
 	return &builtGraph{g: g, mode: mode, escape: req.Escape}, nil
 }
 
-// graphVerdict produces one mode verdict: mode cache probe first, then
-// a coalesced flight whose leader computes on a queue worker.
-func (s *Server) graphVerdict(ctx context.Context, b *builtGraph) (cdg.ModeReport, string, error) {
-	tc := trace.FromContext(ctx)
-	lsp := tc.StartSpan("cache.lookup")
-	if rep, ok := s.modes.Lookup(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape); ok {
-		lsp.SetInt("hit", 1)
-		lsp.End()
-		obsVerdictCache.Inc()
-		return rep, provCache, nil
-	}
-	lsp.SetInt("hit", 0)
-	lsp.End()
-	key, check := cdg.ModeKey(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape)
-	fsp := tc.StartSpan("flight")
-	rep, leader, err := s.gflight.do(ctx, key, check, s.cfg.Timeout, func(fctx context.Context) (cdg.ModeReport, error) {
-		return s.computeGraph(fctx, b)
-	})
-	if err != nil {
-		fsp.End()
-		return cdg.ModeReport{}, "", err
-	}
-	if leader {
-		fsp.SetStr("role", "leader")
-		fsp.End()
-		obsVerdictComputed.Inc()
-		return rep, provComputed, nil
-	}
-	fsp.SetStr("role", "follower")
-	fsp.End()
-	obsVerdictCoalesced.Inc()
-	return rep, provCoalesced, nil
-}
-
-// computeGraph runs one mode verification on a queue worker under ctx.
-func (s *Server) computeGraph(ctx context.Context, b *builtGraph) (cdg.ModeReport, error) {
-	type result struct {
-		rep cdg.ModeReport
-		err error
-	}
-	res := make(chan result, 1)
-	tc := trace.FromContext(ctx)
-	tc.Retain()
-	qsp := tc.StartSpan("queue.wait")
-	err := s.submit(func() {
-		qsp.End()
-		obsQueueDepth.Add(-1)
-		rep, err := s.modes.VerifyModeCtx(ctx, b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape, s.cfg.Jobs)
-		res <- result{rep, err}
-		tc.Release()
-	})
-	if err != nil {
-		qsp.SetInt("rejected", 1)
-		qsp.End()
-		tc.Release()
-		return cdg.ModeReport{}, err
-	}
-	select {
-	case r := <-res:
-		return r.rep, r.err
-	case <-ctx.Done():
-		// The queued task still runs (quickly, its context is dead) and
-		// parks its result in the buffered channel for the collector.
-		return cdg.ModeReport{}, ctx.Err()
-	}
-}
-
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	obsReqGraph.Inc()
 	t, sw, r := s.startTrace(w, r, "serve.graph")
@@ -202,15 +135,21 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
+	key, check := cdg.ModeKey(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape)
+	k := verdictKind[cdg.ModeReport]{
+		key: key, check: check, cache: &s.modes.Cache, flight: s.gflight, leader: provComputed,
+		compute: func(ctx context.Context) (cdg.ModeReport, error) {
+			return s.modes.VerifyModeCtx(ctx, b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape, s.cfg.Jobs)
+		},
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	rep, prov, err := s.graphVerdict(ctx, b)
+	rep, prov, err := verdict(ctx, s, &k)
 	if err != nil {
 		writeError(w, statusFor(err), sanitizeErr(err))
 		return
 	}
 	t.SetProvenance(prov)
-	key, _ := cdg.ModeKey(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape)
 	resp := &GraphVerifyResponse{
 		Mode:       rep.Mode.String(),
 		Channels:   rep.Nodes,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,29 @@ func TestGraphEndpoint(t *testing.T) {
 	b, _ := json.Marshal(second)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("repeat verdict differs:\nfirst  %s\nsecond %s", a, b)
+	}
+}
+
+// TestGraphReplicaLocal pins /v1/verify/graph as replica-local: replicas
+// built by NewReplica (testServer) keep private mode caches, so a graph
+// one replica computed is computed again, not served from cache, by
+// another in the same process.
+func TestGraphReplicaLocal(t *testing.T) {
+	_, a := testServer(t, Config{})
+	_, b := testServer(t, Config{})
+	body := graphBody("subrel", "")
+	for i, ts := range []*httptest.Server{a, b} {
+		status, raw := post(t, ts, "/v1/verify/graph", body)
+		if status != 200 {
+			t.Fatalf("replica %d: POST = %d: %s", i, status, raw)
+		}
+		var resp GraphVerifyResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Provenance != provComputed {
+			t.Fatalf("replica %d answered %q, want %q", i, resp.Provenance, provComputed)
+		}
 	}
 }
 

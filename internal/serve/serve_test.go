@@ -13,14 +13,11 @@ import (
 	"ebda/internal/cdg"
 )
 
-// testServer starts an isolated server (private verify cache) on an
-// httptest listener and tears both down with the test.
+// testServer starts an isolated server (private verify and mode caches)
+// on an httptest listener and tears both down with the test.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := newServer(cfg, &cdg.VerifyCache{})
-	// Isolate the mode cache too: graph-endpoint provenance assertions
-	// must not see verdicts another test cached process-wide.
-	s.modes = &cdg.ModeCache{}
+	s := NewReplica(cfg, &cdg.VerifyCache{})
 	mux := http.NewServeMux()
 	s.Register(mux)
 	ts := httptest.NewServer(mux)

@@ -114,29 +114,29 @@ type Server struct {
 }
 
 // New starts the worker pool and returns a ready server. It serves
-// through cdg.DefaultCache, so verdicts are shared with any in-process
-// engine user.
+// through cdg.DefaultCache and cdg.DefaultModeCache, so verdicts are
+// shared with any in-process engine user.
 func New(cfg Config) *Server {
-	return newServer(cfg, cdg.DefaultCache)
+	return newServer(cfg, cdg.DefaultCache, cdg.DefaultModeCache)
 }
 
-// NewReplica is New against an explicit cache. Cluster harnesses run
-// several replicas in one process; each needs a private cache for the
-// ring's ownership semantics to be observable (and testable).
+// NewReplica is New against an explicit verify cache and a private mode
+// cache. Cluster harnesses run several replicas in one process; each
+// needs private caches for the ring's ownership semantics to be
+// observable (and testable), and /v1/verify/graph is replica-local.
 func NewReplica(cfg Config, cache *cdg.VerifyCache) *Server {
-	return newServer(cfg, cache)
+	return newServer(cfg, cache, &cdg.ModeCache{})
 }
 
-// newServer is New against an explicit cache (tests isolate themselves
-// from the process-wide one). It panics on an invalid cluster config —
-// callers validate with ClusterConfig.Validate before constructing.
-func newServer(cfg Config, cache *cdg.VerifyCache) *Server {
+// newServer panics on an invalid cluster config — callers validate with
+// ClusterConfig.Validate before constructing.
+func newServer(cfg Config, cache *cdg.VerifyCache, modes *cdg.ModeCache) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
 		nets:    newNetworkCache(),
 		cache:   cache,
-		modes:   cdg.DefaultModeCache,
+		modes:   modes,
 		flight:  newFlightGroup[cdg.Report](),
 		gflight: newFlightGroup[cdg.ModeReport](),
 		queue:   make(chan func(), cfg.QueueDepth),
@@ -271,13 +271,37 @@ const (
 	provDelta     = "delta"
 )
 
-// verdict produces one verification verdict: cache probe first, then a
+// verdictKind describes one request's verdict to the pipeline: its
+// dual-hash identity, computed once per request; the cache and flight
+// group of its report type; the cached compute a flight leader runs on a
+// queue worker; and the provenance a leader reports (computed, or delta
+// for an incremental re-verification).
+type verdictKind[R cdg.Verdict] struct {
+	key, check uint64
+	cache      *cdg.Cache[R]
+	flight     *flightGroup[R]
+	compute    func(context.Context) (R, error)
+	leader     string
+}
+
+// verifyKind is the verdictKind of a turn-set verification.
+func (s *Server) verifyKind(b *builtVerify) verdictKind[cdg.Report] {
+	key, check := cdg.VerifyKey(b.net, b.vcs, b.ts)
+	return verdictKind[cdg.Report]{
+		key: key, check: check, cache: &s.cache.Cache, flight: s.flight, leader: provComputed,
+		compute: func(ctx context.Context) (cdg.Report, error) {
+			return s.cache.VerifyTurnSetCtx(ctx, b.net, b.vcs, b.ts, s.cfg.Jobs)
+		},
+	}
+}
+
+// verdict produces one verdict of any kind: cache probe first, then a
 // coalesced flight whose leader computes on a queue worker. The
 // provenance string reports which path answered.
-func (s *Server) verdict(ctx context.Context, b *builtVerify) (cdg.Report, string, error) {
+func verdict[R cdg.Verdict](ctx context.Context, s *Server, k *verdictKind[R]) (R, string, error) {
 	tc := trace.FromContext(ctx)
 	lsp := tc.StartSpan("cache.lookup")
-	if rep, ok := s.cache.Lookup(b.net, b.vcs, b.ts); ok {
+	if rep, ok := k.cache.Lookup(k.key, k.check); ok {
 		lsp.SetInt("hit", 1)
 		lsp.End()
 		obsVerdictCache.Inc()
@@ -285,20 +309,24 @@ func (s *Server) verdict(ctx context.Context, b *builtVerify) (cdg.Report, strin
 	}
 	lsp.SetInt("hit", 0)
 	lsp.End()
-	key, check := cdg.VerifyKey(b.net, b.vcs, b.ts)
 	fsp := tc.StartSpan("flight")
-	rep, leader, err := s.flight.do(ctx, key, check, s.cfg.Timeout, func(fctx context.Context) (cdg.Report, error) {
-		return s.compute(fctx, b)
+	rep, leader, err := k.flight.do(ctx, k.key, k.check, s.cfg.Timeout, func(fctx context.Context) (R, error) {
+		return queued(fctx, s, k.compute)
 	})
 	if err != nil {
 		fsp.End()
-		return cdg.Report{}, "", err
+		var zero R
+		return zero, "", err
 	}
 	if leader {
 		fsp.SetStr("role", "leader")
 		fsp.End()
-		obsVerdictComputed.Inc()
-		return rep, provComputed, nil
+		if k.leader == provDelta {
+			obsVerdictDelta.Inc()
+		} else {
+			obsVerdictComputed.Inc()
+		}
+		return rep, k.leader, nil
 	}
 	fsp.SetStr("role", "follower")
 	fsp.End()
@@ -306,11 +334,11 @@ func (s *Server) verdict(ctx context.Context, b *builtVerify) (cdg.Report, strin
 	return rep, provCoalesced, nil
 }
 
-// compute runs one verification on a queue worker under ctx, reporting
-// admission failures to the caller.
-func (s *Server) compute(ctx context.Context, b *builtVerify) (cdg.Report, error) {
+// queued runs compute on a queue worker under ctx, reporting admission
+// failures to the caller.
+func queued[R any](ctx context.Context, s *Server, compute func(context.Context) (R, error)) (R, error) {
 	type result struct {
-		rep cdg.Report
+		rep R
 		err error
 	}
 	res := make(chan result, 1)
@@ -323,15 +351,16 @@ func (s *Server) compute(ctx context.Context, b *builtVerify) (cdg.Report, error
 	err := s.submit(func() {
 		qsp.End()
 		obsQueueDepth.Add(-1)
-		rep, err := s.cache.VerifyTurnSetCtx(ctx, b.net, b.vcs, b.ts, s.cfg.Jobs)
+		rep, err := compute(ctx)
 		res <- result{rep, err}
 		tc.Release()
 	})
+	var zero R
 	if err != nil {
 		qsp.SetInt("rejected", 1)
 		qsp.End()
 		tc.Release()
-		return cdg.Report{}, err
+		return zero, err
 	}
 	select {
 	case r := <-res:
@@ -339,75 +368,7 @@ func (s *Server) compute(ctx context.Context, b *builtVerify) (cdg.Report, error
 	case <-ctx.Done():
 		// The queued task still runs (quickly, its context is dead) and
 		// parks its result in the buffered channel for the collector.
-		return cdg.Report{}, ctx.Err()
-	}
-}
-
-// deltaVerdict is verdict for a perturbed design: delta cache probe
-// first, then a coalesced flight keyed on the delta identity whose
-// leader runs the incremental re-verification on a queue worker. The
-// leader's provenance is "delta" — the verdict came from a retained
-// workspace's region re-peel, not a from-scratch verification.
-func (s *Server) deltaVerdict(ctx context.Context, b *builtVerify, diff cdg.Diff) (cdg.Report, string, error) {
-	tc := trace.FromContext(ctx)
-	lsp := tc.StartSpan("cache.lookup")
-	if rep, ok := s.cache.LookupDelta(b.net, b.vcs, b.ts, diff); ok {
-		lsp.SetInt("hit", 1)
-		lsp.End()
-		obsVerdictCache.Inc()
-		return rep, provCache, nil
-	}
-	lsp.SetInt("hit", 0)
-	lsp.End()
-	key, check := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
-	fsp := tc.StartSpan("flight")
-	rep, leader, err := s.flight.do(ctx, key, check, s.cfg.Timeout, func(fctx context.Context) (cdg.Report, error) {
-		return s.computeDelta(fctx, b, diff)
-	})
-	if err != nil {
-		fsp.End()
-		return cdg.Report{}, "", err
-	}
-	if leader {
-		fsp.SetStr("role", "leader")
-		fsp.End()
-		obsVerdictDelta.Inc()
-		return rep, provDelta, nil
-	}
-	fsp.SetStr("role", "follower")
-	fsp.End()
-	obsVerdictCoalesced.Inc()
-	return rep, provCoalesced, nil
-}
-
-// computeDelta runs one delta verification on a queue worker under ctx.
-func (s *Server) computeDelta(ctx context.Context, b *builtVerify, diff cdg.Diff) (cdg.Report, error) {
-	type result struct {
-		rep cdg.Report
-		err error
-	}
-	res := make(chan result, 1)
-	tc := trace.FromContext(ctx)
-	tc.Retain()
-	qsp := tc.StartSpan("queue.wait")
-	err := s.submit(func() {
-		qsp.End()
-		obsQueueDepth.Add(-1)
-		rep, err := s.cache.VerifyDeltaCtx(ctx, b.net, b.vcs, b.ts, diff, s.cfg.Jobs)
-		res <- result{rep, err}
-		tc.Release()
-	})
-	if err != nil {
-		qsp.SetInt("rejected", 1)
-		qsp.End()
-		tc.Release()
-		return cdg.Report{}, err
-	}
-	select {
-	case r := <-res:
-		return r.rep, r.err
-	case <-ctx.Done():
-		return cdg.Report{}, ctx.Err()
+		return zero, ctx.Err()
 	}
 }
 
@@ -451,32 +412,13 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }
 
-// respond builds the response body for one verdict.
-func respond(b *builtVerify, rep cdg.Report, prov string, key uint64) *VerifyResponse {
-	n90, nU, nI := b.ts.Counts()
-	resp := &VerifyResponse{
-		Network:    b.net.String(),
-		Channels:   rep.Channels,
-		Edges:      rep.Edges,
-		Acyclic:    rep.Acyclic,
-		Turns:      TurnCounts{Deg90: n90, U: nU, I: nI},
-		Provenance: prov,
-		Key:        strconv.FormatUint(key, 16),
-	}
-	if !rep.Acyclic {
-		resp.Cycle = cdg.FormatCycle(rep.Cycle)
-	}
-	return resp
-}
-
-// verifyOne runs one built request end to end.
-func (s *Server) verifyOne(ctx context.Context, b *builtVerify) (*VerifyResponse, int, error) {
-	rep, prov, err := s.verdict(ctx, b)
+// verifyOne answers one built /v1/verify request through the pipeline.
+func (s *Server) verifyOne(ctx context.Context, b *builtVerify, k *verdictKind[cdg.Report]) (*VerifyResponse, int, error) {
+	rep, prov, err := verdict(ctx, s, k)
 	if err != nil {
 		return nil, statusFor(err), err
 	}
-	key, _ := cdg.VerifyKey(b.net, b.vcs, b.ts)
-	return respond(b, rep, prov, key), http.StatusOK, nil
+	return verifyReply(b, k.key, peerFields(rep), prov), http.StatusOK, nil
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -510,12 +452,15 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	if s.routeVerify(w, r, b, body) {
+	k := s.verifyKind(b)
+	if s.route(w, r, &k, body, func(v *PeerLookupResponse, prov string) any {
+		return verifyReply(b, k.key, v, prov)
+	}) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	resp, status, err := s.verifyOne(ctx, b)
+	resp, status, err := s.verifyOne(ctx, b, &k)
 	if err != nil {
 		writeError(w, status, sanitizeErr(err))
 		return
@@ -570,31 +515,28 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	if s.routeDelta(w, r, b, diff, baseKey, body) {
+	key, check := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
+	k := verdictKind[cdg.Report]{
+		key: key, check: check, cache: &s.cache.Cache, flight: s.flight, leader: provDelta,
+		compute: func(ctx context.Context) (cdg.Report, error) {
+			return s.cache.VerifyDeltaCtx(ctx, b.net, b.vcs, b.ts, diff, s.cfg.Jobs)
+		},
+	}
+	reply := func(v *PeerLookupResponse, prov string) any {
+		return deltaReply(v, prov, key, baseKey)
+	}
+	if s.route(w, r, &k, body, reply) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	rep, prov, err := s.deltaVerdict(ctx, b, diff)
+	rep, prov, err := verdict(ctx, s, &k)
 	if err != nil {
 		writeError(w, statusFor(err), sanitizeErr(err))
 		return
 	}
 	t.SetProvenance(prov)
-	key, _ := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
-	resp := &DeltaResponse{
-		Network:    rep.Network,
-		Channels:   rep.Channels,
-		Edges:      rep.Edges,
-		Acyclic:    rep.Acyclic,
-		Provenance: prov,
-		Key:        strconv.FormatUint(key, 16),
-		BaseKey:    strconv.FormatUint(baseKey, 16),
-	}
-	if !rep.Acyclic {
-		resp.Cycle = cdg.FormatCycle(rep.Cycle)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, reply(peerFields(rep), prov))
 }
 
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
@@ -637,12 +579,12 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		if len(resp.Options) >= max {
 			break
 		}
-		b := &builtVerify{
+		k := s.verifyKind(&builtVerify{
 			net: net,
 			vcs: cdg.VCConfigFor(net.Dims(), chain.Channels()),
 			ts:  chain.AllTurns(),
-		}
-		rep, prov, err := s.verdict(ctx, b)
+		})
+		rep, prov, err := verdict(ctx, s, &k)
 		if err != nil {
 			writeError(w, statusFor(err), sanitizeErr(err))
 			return
@@ -703,7 +645,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = BatchResult{Error: sanitizeErr(err), Status: http.StatusBadRequest}
 			continue
 		}
-		ok, status, err := s.verifyOne(ctx, b)
+		k := s.verifyKind(b)
+		ok, status, err := s.verifyOne(ctx, b, &k)
 		if err != nil {
 			resp.Results[i] = BatchResult{Error: sanitizeErr(err), Status: status}
 			continue
