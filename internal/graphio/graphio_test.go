@@ -2,12 +2,18 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ebda/internal/cdg"
+	"ebda/internal/topology"
 )
 
 const goldenDir = "../../testdata/graphio"
@@ -291,6 +297,9 @@ func TestParseJSONErrors(t *testing.T) {
 		{"range", `{"channels":2,"inputs":[9],"outputs":[],"edges":[]}`, ErrIDRange},
 		{"negative channels", `{"channels":-1,"inputs":[],"outputs":[],"edges":[]}`, ErrChannelCount},
 		{"duplicate edge", `{"channels":2,"inputs":[],"outputs":[],"edges":[[0,1],[0,1]]}`, ErrDuplicateEdge},
+		{"triple edge", `{"channels":3,"inputs":[],"outputs":[],"edges":[[0,1,2]]}`, ErrSyntax},
+		{"single id edge", `{"channels":2,"inputs":[],"outputs":[],"edges":[[1]]}`, ErrSyntax},
+		{"empty edge", `{"channels":2,"inputs":[],"outputs":[],"edges":[[]]}`, ErrSyntax},
 	}
 	for _, tc := range cases {
 		if _, err := ParseJSON([]byte(tc.in)); !errors.Is(err, tc.want) {
@@ -316,10 +325,263 @@ func TestVerifyEscapeRange(t *testing.T) {
 	}
 }
 
-// FuzzParseCDG: the parser must never panic on arbitrary bytes — only
-// return typed errors — and every accepted graph must round-trip to
-// canonical bytes stably.
-func FuzzParseCDG(f *testing.F) {
+// jsonQuirks exercise the corners of the JSON grammar the package
+// comment states: key folding and escapes, null, repeated keys, numbers
+// that are not ints, trailing data, and error precedence.
+var jsonQuirks = []string{
+	`{}`,
+	`null`,
+	` {"CHANNELS":2,"Inputs":[0],"outputS":[1],"EDGES":[[0,1]]} `,
+	`{"channel\u0073":2,"\u0069nputs":[],"outputs":[],"edges":[]}`,
+	"{\"input\u017f\":[0],\"channels\":1}",
+	`{"edges":[[0,1]],"channels":2}`,
+	`{"channels":null,"inputs":null,"outputs":null,"edges":null}`,
+	`{"channels":3,"edges":[[null,2],[1,null]]}`,
+	`{"channels":3,"channels":null,"inputs":[2,1],"inputs":[0]}`,
+	`{"channels":4,"inputs":[1,2,3],"inputs":[null,null]}`,
+	`{"channels":4,"inputs":[1,2,3],"inputs":[0],"inputs":[null,null]}`,
+	`{"channels":4,"edges":[[1,2],[2,3]],"edges":[[null,3]]}`,
+	`{"channels":4,"edges":[[0,1,2]],"edges":[[null,null,null]]}`,
+	`{"channels":4,"edges":[[0,1,2]],"edges":[[3,2]]}`,
+	`{"channels":4,"edges":[[1,2]],"edges":[null],"edges":[[null,null]]}`,
+	`{"channels":4,"edges":[[1,2]],"edges":[],"edges":[[null,3]]}`,
+	`{"channels":4,"edges":[[1,2],[3,3]],"edges":[[0,1]],"edges":[[0,1],[null,null]]}`,
+	`{"channels":2.0}`,
+	`{"channels":2e0}`,
+	`{"channels":-0,"edges":[]}`,
+	`{"channels":02}`,
+	`{"channels":9223372036854775808}`,
+	`{"channels":4,"edges":[[0,4294967296]]}`,
+	`{"channels":4,"edges":[[0,123456789],[0,1234567890]]}`,
+	`{"channels":4,"edges":[[0,1],[-1,2]]}`,
+	`{"channels":4,"edges":[[0,1],[01,2]]}`,
+	`{"channels":4,"edges":[[0,1],[1e0,2]]}`,
+	"{\"channels\":4,\"edges\": [ [ 0 ,\t1 ] ,\r\n[ 1,2 ] ] }",
+	`{"channels":"2"}`,
+	`{"channels":2,"edges":[[0,1]]}x`,
+	`{"channels":2,"edges":[[0,1]]}{}`,
+	`{"channels":2,"edges":[[0,1],]}`,
+	`{"channels":2,"edges":[[0,1]]`,
+	`{"channels":-1,"inputs":[5],"edges":[[9,9]]}`,
+	`{"channels":2,"inputs":[5],"outputs":[1,1],"edges":[[9,9]]}`,
+	`{"channels":2,"outputs":[1,1],"edges":[[0,1],[0,1],[9,0]]}`,
+	`{"channels":2,"edges":[[0,1],[0,1],[9,0]],"edges":[[0,1],[1,9]]}`,
+	`{"channels":2,"inputs":[9],"edges":[[0,1,1]]}`,
+}
+
+// refParseJSON is the encoding/json decoder ParseJSON replaced, kept as
+// the differential reference: unchanged except that edges decode as
+// [][]int and must be exact pairs, where [2]int padded and truncated.
+func refParseJSON(data []byte) (*Graph, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var jg struct {
+		Channels int     `json:"channels"`
+		Inputs   []int   `json:"inputs"`
+		Outputs  []int   `json:"outputs"`
+		Edges    [][]int `json:"edges"`
+	}
+	if err := dec.Decode(&jg); err != nil {
+		return nil, &ParseError{Err: fmt.Errorf("%w: %v", ErrSyntax, err)}
+	}
+	var trailer json.RawMessage
+	if err := dec.Decode(&trailer); !errors.Is(err, io.EOF) {
+		return nil, &ParseError{Err: fmt.Errorf("%w: trailing data after JSON document", ErrSyntax)}
+	}
+	edges := make([][2]int, len(jg.Edges))
+	for i, e := range jg.Edges {
+		if len(e) != 2 {
+			return nil, &ParseError{Err: fmt.Errorf("%w: edge %v is not a pair", ErrSyntax, e)}
+		}
+		edges[i] = [2]int{e[0], e[1]}
+	}
+	return New(jg.Channels, jg.Inputs, jg.Outputs, edges)
+}
+
+// refParseCDG is the strings.Split text parser ParseCDG replaced, kept
+// verbatim as the differential reference.
+func refParseCDG(data []byte) (*Graph, error) {
+	lines := strings.Split(string(data), "\n")
+	// A final newline terminates the last line; it does not open an
+	// empty one.
+	if n := len(lines); n > 0 && lines[n-1] == "" {
+		lines = lines[:n-1]
+	}
+	// next yields the index of the next significant line at or after i
+	// (comments skipped; blank lines skipped only when blankOK).
+	cursor := 0
+	next := func(blankOK bool) (string, int, bool) {
+		for ; cursor < len(lines); cursor++ {
+			ln := strings.TrimSuffix(lines[cursor], "\r")
+			trimmed := strings.TrimSpace(ln)
+			if strings.HasPrefix(trimmed, "#") {
+				continue
+			}
+			if trimmed == "" && blankOK {
+				continue
+			}
+			cursor++
+			return ln, cursor, true
+		}
+		return "", cursor, false
+	}
+
+	countLine, countNo, ok := next(true)
+	if !ok {
+		return nil, perr(cursor, ErrMissingSection, "channel count line missing")
+	}
+	channels, err := strconv.Atoi(strings.TrimSpace(countLine))
+	if err != nil || channels < 0 || channels > MaxChannels {
+		return nil, perr(countNo, ErrChannelCount, "%q is not a count in [0, %d]", strings.TrimSpace(countLine), MaxChannels)
+	}
+	g := &Graph{Edges: cdg.NewEdgeSet(channels)}
+
+	// The input and output lines directly follow the count; a blank line
+	// here means the empty set.
+	for _, sec := range []struct {
+		what string
+		dst  *[]int
+	}{{"input", &g.Inputs}, {"output", &g.Outputs}} {
+		ln, no, ok := next(false)
+		if !ok {
+			return nil, perr(cursor, ErrMissingSection, "%s ids line missing", sec.what)
+		}
+		ids, err := refParseIDs(no, ln)
+		if err != nil {
+			return nil, err
+		}
+		if *sec.dst, err = canonIDs(no, sec.what, ids, channels); err != nil {
+			return nil, err
+		}
+	}
+
+	for {
+		ln, no, ok := next(true)
+		if !ok {
+			return g, nil
+		}
+		ids, err := refParseIDs(no, ln)
+		if err != nil {
+			return nil, err
+		}
+		if len(ids) < 2 {
+			return nil, perr(no, ErrSyntax, "edge line needs a sender and at least one receiver")
+		}
+		for _, to := range ids[1:] {
+			if err := addEdge(g.Edges, no, ids[0], to); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// refParseIDs splits one line into integer fields.
+func refParseIDs(line int, s string) ([]int, error) {
+	fields := strings.Fields(s)
+	out := make([]int, len(fields))
+	for i, f := range fields {
+		v, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, perr(line, ErrSyntax, "%q is not a channel id", f)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// refExportCDG and refExportJSON are the fmt and json.Marshal exporters
+// the append-based ones replaced.
+func refExportCDG(g *Graph) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%d\n", g.Edges.NumNodes())
+	for _, ids := range [][]int{g.Inputs, g.Outputs} {
+		for i, v := range ids {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%d", v)
+		}
+		b.WriteByte('\n')
+	}
+	for v := 0; v < g.Edges.NumNodes(); v++ {
+		succs := g.Edges.Succs(v)
+		if len(succs) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%d", v)
+		for _, s := range succs {
+			fmt.Fprintf(&b, " %d", s)
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+func refExportJSON(g *Graph) []byte {
+	jg := struct {
+		Channels int      `json:"channels"`
+		Inputs   []int    `json:"inputs"`
+		Outputs  []int    `json:"outputs"`
+		Edges    [][2]int `json:"edges"`
+	}{
+		Channels: g.Edges.NumNodes(),
+		Inputs:   append([]int{}, g.Inputs...),
+		Outputs:  append([]int{}, g.Outputs...),
+		Edges:    make([][2]int, 0, g.Edges.NumEdges()),
+	}
+	for v := 0; v < g.Edges.NumNodes(); v++ {
+		for _, s := range g.Edges.Succs(v) {
+			jg.Edges = append(jg.Edges, [2]int{v, int(s)})
+		}
+	}
+	out, err := json.Marshal(jg)
+	if err != nil {
+		panic(err)
+	}
+	return append(out, '\n')
+}
+
+var sentinels = []error{ErrChannelCount, ErrMissingSection, ErrIDRange, ErrDuplicateEdge, ErrDuplicateID, ErrSyntax}
+
+// checkSame fails t unless a parse and its reference agree: both reject
+// with the same sentinel (and, for text, the same line), or both accept
+// graphs that export the same bytes, which both exporters render as
+// their references do.
+func checkSame(t *testing.T, data []byte, g *Graph, err error, rg *Graph, rerr error, lines bool) {
+	t.Helper()
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("input %q: got err=%v, reference err=%v", data, err, rerr)
+	}
+	if err != nil {
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("input %q: untyped parse error %T: %v", data, err, err)
+		}
+		for _, s := range sentinels {
+			if errors.Is(err, s) != errors.Is(rerr, s) {
+				t.Fatalf("input %q: got %v, reference %v", data, err, rerr)
+			}
+		}
+		var rpe *ParseError
+		if lines && errors.As(rerr, &rpe) && pe.Line != rpe.Line {
+			t.Fatalf("input %q: error on line %d, reference line %d: %v", data, pe.Line, rpe.Line, err)
+		}
+		return
+	}
+	got, want := g.ExportCDG(), rg.ExportCDG()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("input %q: graphs differ:\n%s\n---reference---\n%s", data, got, want)
+	}
+	if ref := refExportCDG(g); !bytes.Equal(got, ref) {
+		t.Fatalf("ExportCDG drifted from its reference:\n%s\n---\n%s", got, ref)
+	}
+	if js, ref := g.ExportJSON(), refExportJSON(g); !bytes.Equal(js, ref) {
+		t.Fatalf("ExportJSON drifted from its reference:\n%s\n---\n%s", js, ref)
+	}
+}
+
+// addGoldens seeds f with every committed golden.
+func addGoldens(f *testing.F) {
 	f.Add([]byte(snippetsExample))
 	for _, name := range []string{"xy3x3-out4.txt", "cycle4.txt", "escape-ok.txt", "deadend.txt", "escape-ok.json"} {
 		data, err := os.ReadFile(filepath.Join(goldenDir, name))
@@ -328,15 +590,23 @@ func FuzzParseCDG(f *testing.F) {
 		}
 		f.Add(data)
 	}
+}
+
+// FuzzParseCDG: the text parser must agree with its reference on every
+// input — accept/reject, sentinel, error line and graph — never panic,
+// and every accepted graph must round-trip to canonical bytes stably.
+func FuzzParseCDG(f *testing.F) {
+	addGoldens(f)
 	f.Add([]byte("2\n\n\n0 1\n"))
 	f.Add([]byte("# comment\n3\n0 1\n2\n0 2\n1 2\n"))
+	f.Add([]byte("\u00a0# nbsp comment\r\n+3\r\n00 \u20281\r\n2\n\n0\t+2 \u3000\n\v1 2\f\n"))
+	f.Add([]byte("3\n-0\n2\n0 1 x\n"))
+	f.Add([]byte("3\n0\n2\n9223372036854775808 1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Parse(data)
+		g, err := ParseCDG(data)
+		rg, rerr := refParseCDG(data)
+		checkSame(t, data, g, err, rg, rerr, true)
 		if err != nil {
-			var pe *ParseError
-			if !errors.As(err, &pe) {
-				t.Fatalf("untyped parse error %T: %v", err, err)
-			}
 			return
 		}
 		canon := g.ExportCDG()
@@ -348,4 +618,78 @@ func FuzzParseCDG(f *testing.F) {
 			t.Fatalf("export not stable:\n%s\n---\n%s", canon, again)
 		}
 	})
+}
+
+// FuzzParseJSON: the JSON scanner must agree with the encoding/json
+// reference on every input — accept/reject, sentinel and graph — and
+// DecodeJSON must accept exactly what the scanner does and rebuild the
+// same graph through New.
+func FuzzParseJSON(f *testing.F) {
+	addGoldens(f)
+	for _, q := range jsonQuirks {
+		f.Add([]byte(q))
+	}
+	cg, err := topology.Dragonfly{Groups: 3, Routers: 2, Terminals: 1}.ChannelGraph(2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := New(cg.Channels, cg.Inputs, cg.Outputs, cg.Edges)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(g.ExportJSON())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ParseJSON(data)
+		rg, rerr := refParseJSON(data)
+		checkSame(t, data, g, err, rg, rerr, false)
+		sp, derr := DecodeJSON(data)
+		if (derr != nil) != errors.Is(err, ErrSyntax) {
+			t.Fatalf("input %q: DecodeJSON err=%v, ParseJSON err=%v", data, derr, err)
+		}
+		if derr != nil {
+			return
+		}
+		g2, err2 := New(sp.Channels, sp.Inputs, sp.Outputs, sp.Edges)
+		checkSame(t, data, g2, err2, rg, rerr, false)
+	})
+}
+
+// dragonflyBytes exports the 33x16x8 two-VC dragonfly, the largest
+// graph of the repository benchmark, in both encodings.
+func dragonflyBytes(b *testing.B) (text, js []byte) {
+	b.Helper()
+	cg, err := topology.Dragonfly{Groups: 33, Routers: 16, Terminals: 8}.ChannelGraph(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := New(cg.Channels, cg.Inputs, cg.Outputs, cg.Edges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g.ExportCDG(), g.ExportJSON()
+}
+
+var benchGraph *Graph
+
+func benchmarkParse(b *testing.B, data []byte, parse func([]byte) (*Graph, error)) {
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := parse(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchGraph = g
+	}
+}
+
+func BenchmarkParseJSON(b *testing.B) {
+	_, js := dragonflyBytes(b)
+	benchmarkParse(b, js, ParseJSON)
+}
+
+func BenchmarkParseCDG(b *testing.B) {
+	text, _ := dragonflyBytes(b)
+	benchmarkParse(b, text, ParseCDG)
 }

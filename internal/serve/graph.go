@@ -39,6 +39,18 @@ type GraphSpec struct {
 	Edges    [][2]int `json:"edges"`
 }
 
+// UnmarshalJSON decodes the graph through graphio's JSON scanner, so the
+// endpoint accepts exactly the documents graphio.ParseJSON does — every
+// edge an exact [sender, receiver] pair included.
+func (s *GraphSpec) UnmarshalJSON(data []byte) error {
+	sp, err := graphio.DecodeJSON(data)
+	if err != nil {
+		return err
+	}
+	*s = GraphSpec(sp)
+	return nil
+}
+
 // GraphVerifyRequest asks for one mode verdict over an inline graph.
 // Exactly one of Graph (structured) and CDG (constellation text,
 // verbatim) must be set.

@@ -175,6 +175,8 @@ func TestGraphBadRequests(t *testing.T) {
 		{"cdg parse error", `{"cdg":"2\n9\n\n","mode":"loop"}`},
 		{"edge out of range", `{"graph":{"channels":2,"inputs":[],"outputs":[],"edges":[[0,7]]},"mode":"loop"}`},
 		{"trailing garbage", graphBody("loop", "") + `{}`},
+		{"edge not a pair", `{"graph":{"channels":3,"inputs":[],"outputs":[],"edges":[[0,1,2]]},"mode":"loop"}`},
+		{"unknown graph field", `{"graph":{"channels":2,"frob":1},"mode":"loop"}`},
 	}
 	for _, tc := range cases {
 		status, raw := post(t, ts, "/v1/verify/graph", tc.body)
