@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -104,49 +105,146 @@ type Graph struct {
 	// per-dimension stride.
 	tailIndex []int32
 	maxVC     int
-	// coords[v*Dims()+d] is node v's coordinate in dimension d: a flat
-	// copy of net.Coord so parity tests in the class-matching hot loop
-	// are allocation-free.
-	coords []int32
+	// kind[i] is channel i's index into kinds. Channels of one kind
+	// instantiate the same classes of every turn set, so turn-set
+	// construction matches classes per kind, not per channel.
+	kind  []int32
+	kinds []chanKind
+}
+
+// chanKind is everything class matching reads from a channel: its
+// direction, its VC and the coordinate parities of its tail node (bit d
+// set when the coordinate in dimension d is odd). It depends only on the
+// (network, VC configuration) shape.
+type chanKind struct {
+	dim  channel.Dim
+	sign channel.Sign
+	vc   int
+	par  uint64
+}
+
+// instantiates reports whether channels of the kind belong to class c.
+// Parity restrictions are evaluated against the tail node's coordinate (a
+// channel does not move in dimensions other than its own, so head and
+// tail agree there); a restriction on a dimension the network lacks sees
+// coordinate 0.
+func (k chanKind) instantiates(c channel.Class) bool {
+	if c.Dim != k.dim || c.Sign != k.sign || c.VC != k.vc {
+		return false
+	}
+	if c.Par == channel.Any {
+		return true
+	}
+	coord := 0
+	if uint(c.PDim) < 64 {
+		coord = int(k.par>>uint(c.PDim)) & 1
+	}
+	return c.Par.Matches(coord)
 }
 
 // NewGraph enumerates the concrete channels of the network under the VC
-// configuration; the graph starts with no dependency edges.
+// configuration; the graph starts with no dependency edges. Channels are
+// numbered in link order (by tail node, then dimension, sign and VC), and
+// each channel's kind is computed here, walking tail coordinates with an
+// odometer instead of decoding node IDs.
+//
+//ebda:hotpath
 func NewGraph(net *topology.Network, vcs VCConfig) *Graph {
+	nodes, dims := net.Nodes(), net.Dims()
+	links := net.Links()
 	g := &Graph{
 		net:    net,
 		vcs:    vcs,
-		byHead: make([][]int32, net.Nodes()),
-		byTail: make([][]int32, net.Nodes()),
+		byHead: make([][]int32, nodes),
+		byTail: make([][]int32, nodes),
 		maxVC:  1,
 	}
-	for d := 0; d < net.Dims(); d++ {
-		if v := vcs.VCs(channel.Dim(d)); v > g.maxVC {
-			g.maxVC = v
-		}
+	vcOf := make([]int, dims)
+	for d := range vcOf {
+		vcOf[d] = vcs.VCs(channel.Dim(d))
+		g.maxVC = max(g.maxVC, vcOf[d])
 	}
-	g.tailIndex = make([]int32, net.Nodes()*net.Dims()*2*g.maxVC)
+	nc := 0
+	for i := range links {
+		nc += vcOf[links[i].Dim]
+	}
+	g.channels = make([]Channel, nc)
+	g.kind = make([]int32, nc)
+	g.adj = make([][]int32, nc)
+	g.tailIndex = make([]int32, nodes*dims*2*g.maxVC)
 	for i := range g.tailIndex {
 		g.tailIndex[i] = -1
 	}
-	dims := net.Dims()
-	g.coords = make([]int32, net.Nodes()*dims)
-	for v := 0; v < net.Nodes(); v++ {
-		c := net.Coord(topology.NodeID(v))
-		for d, x := range c {
-			g.coords[v*dims+d] = int32(x)
+	// Links are ordered by tail node, so every byTail row is a run of
+	// consecutive channel indices carved from one flat buffer; heads are
+	// counted here (headEnd[v+1]) and placed by a counting sort below.
+	tails := make([]int32, nc)
+	headEnd := make([]int32, nodes+1)
+	// kindOf maps a raw kind code, ((dim*2+sign)*maxVC+vc-1)<<dims | tail
+	// parity, to its dense index. Every dimension has extent >= 2, so the
+	// table is no larger than tailIndex.
+	kindOf := make([]int32, (dims*2*g.maxVC)<<uint(dims))
+	for i := range kindOf {
+		kindOf[i] = -1
+	}
+	sizes := net.Sizes()
+	coord := make([]int, dims)
+	var par uint64
+	ci, li := 0, 0
+	for v := 0; v < nodes; v++ {
+		start := ci
+		for ; li < len(links) && int(links[li].From) == v; li++ {
+			l := links[li]
+			s := 0
+			if l.Sign == channel.Minus {
+				s = 1
+			}
+			slot := ((v*dims+int(l.Dim))*2 + s) * g.maxVC
+			raw := (int(l.Dim)*2 + s) * g.maxVC
+			for vc := 1; vc <= vcOf[l.Dim]; vc++ {
+				g.channels[ci] = Channel{Link: l, VC: vc, Index: ci}
+				tails[ci] = int32(ci)
+				headEnd[l.To+1]++
+				g.tailIndex[slot+vc-1] = int32(ci)
+				code := (raw+vc-1)<<uint(dims) | int(par)
+				k := kindOf[code]
+				if k < 0 {
+					k = int32(len(g.kinds))
+					kindOf[code] = k
+					g.kinds = append(g.kinds, chanKind{dim: l.Dim, sign: l.Sign, vc: vc, par: par})
+				}
+				g.kind[ci] = k
+				ci++
+			}
+		}
+		g.byTail[v] = tails[start:ci:ci]
+		// Step the odometer to node v+1: dimension 0 varies fastest.
+		for d := 0; d < dims; d++ {
+			par ^= 1 << uint(d)
+			if coord[d]++; coord[d] < sizes[d] {
+				break
+			}
+			coord[d] = 0
+			par &^= 1 << uint(d)
 		}
 	}
-	for _, link := range net.Links() {
-		for vc := 1; vc <= vcs.VCs(link.Dim); vc++ {
-			idx := len(g.channels)
-			g.channels = append(g.channels, Channel{Link: link, VC: vc, Index: idx})
-			g.byHead[link.To] = append(g.byHead[link.To], int32(idx))
-			g.byTail[link.From] = append(g.byTail[link.From], int32(idx))
-			g.tailIndex[g.tailSlot(link.From, link.Dim, link.Sign, vc)] = int32(idx)
-		}
+	// Counting sort by head: prefix sums give each node's start, the fill
+	// (in ascending channel order) advances headEnd[v] to its end.
+	for v := 0; v < nodes; v++ {
+		headEnd[v+1] += headEnd[v]
 	}
-	g.adj = make([][]int32, len(g.channels))
+	heads := make([]int32, nc)
+	for i := range g.channels {
+		to := g.channels[i].Link.To
+		heads[headEnd[to]] = int32(i)
+		headEnd[to]++
+	}
+	start := int32(0)
+	for v := 0; v < nodes; v++ {
+		end := headEnd[v]
+		g.byHead[v] = heads[start:end:end]
+		start = end
+	}
 	return g
 }
 
@@ -301,82 +399,115 @@ func resolveJobs(jobs, shards int) int {
 	return jobs
 }
 
-// matchClassIdx appends to dst, for a concrete channel, the interned
-// indices of the matrix classes it instantiates, and returns the extended
-// slice (append-into form so callers can reuse scratch). Parity
-// restrictions are evaluated against the channel's tail-node coordinate in
-// the class's parity dimension (a channel does not move in dimensions
-// other than its own, so head and tail agree there except on its
-// own-dimension wraparound, which parity classes may not reference).
-//
-//ebda:hotpath
-func (g *Graph) matchClassIdx(dst []int32, ch Channel, m *core.AllowMatrix) []int32 {
-	base := int(ch.Link.From) * g.net.Dims()
-	for i, cls := range m.Classes() {
-		if cls.Dim != ch.Link.Dim || cls.Sign != ch.Link.Sign || cls.VC != ch.VC {
-			continue
-		}
-		if cls.Par != channel.Any && !cls.Par.Matches(int(g.coords[base+int(cls.PDim)])) {
-			continue
-		}
-		dst = append(dst, int32(i))
-	}
-	return dst
-}
-
 // AddTurnEdges adds a dependency edge for every pair of concrete channels
 // (a into v, b out of v) whose classes are related by the turn set, using
 // every available core. It returns the number of edges added.
 func (g *Graph) AddTurnEdges(ts *core.TurnSet) int { return g.AddTurnEdgesJobs(ts, 0) }
 
 // AddTurnEdgesJobs is AddTurnEdges over a bounded worker pool (jobs <= 0
-// means all cores). Nodes shard perfectly: the dependency a->b exists via
-// the single node where a's head meets b's tail, so every channel's
-// successor list is owned by exactly one node and workers write disjoint
-// rows. The result — row contents and order — is identical for every
-// worker count.
+// means all cores). Channels shard perfectly: a's successors are the
+// permitted channels out of a's head node, a function of a alone, so
+// workers own disjoint blocks of rows. The result — row contents and
+// order — is identical for every worker count.
 func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, jobs int) int {
-	return g.addTurnEdges(ts, jobs, make([][]int32, len(g.channels)))
+	return g.addTurnEdges(ts, jobs, &turnScratch{})
 }
 
-// addTurnEdges is the engine behind AddTurnEdgesJobs. matched is
-// caller-provided scratch of length NumChannels (entries are reset to
-// length zero and refilled, keeping capacity), so a Workspace can run
-// repeated extractions without reallocating the per-channel match lists.
+// turnScratch is the reusable state of turn-set edge construction: the
+// per-kind class and reach masks of the last turn set (words uint64 per
+// kind) and one row arena per worker. A Workspace keeps one across builds,
+// so steady-state builds reuse every buffer; a bare Graph uses a fresh one.
+type turnScratch struct {
+	words  int
+	cls    []uint64
+	reach  []uint64
+	arenas [][]int32
+}
+
+// kindMasks computes, for every channel kind, the class mask (bit i set
+// when the kind instantiates matrix class i) and the reach mask (the OR of
+// the matrix rows of those classes) into cls and reach, reusing their
+// capacity. A dependency a->b is then permitted exactly when
+// reach[kind a] & cls[kind b] != 0 — the same answer as AllowsAny over
+// the two channels' class lists.
 //
 //ebda:hotpath
-func (g *Graph) addTurnEdges(ts *core.TurnSet, jobs int, matched [][]int32) int {
-	m := ts.Matrix()
-	nc := len(g.channels)
-	workers := resolveJobs(jobs, g.net.Nodes())
-	// Phase 1: intern class matches per channel (independent per channel).
-	parallelFor(workers, func(w int) {
-		for i := w; i < nc; i += workers {
-			matched[i] = g.matchClassIdx(matched[i][:0], g.channels[i], m)
-		}
-	})
-	// Phase 2: per-node edge construction. byTail rows are ascending, so
-	// each batch arrives sorted and merges into the row in one pass.
-	counts := make([]int, workers)
-	nodes := g.net.Nodes()
-	parallelFor(workers, func(w int) {
-		added := 0
-		var batch []int32
-		for v := w; v < nodes; v += workers {
-			for _, ai := range g.byHead[v] {
-				batch = batch[:0]
-				for _, bi := range g.byTail[v] {
-					if m.AllowsAny(matched[ai], matched[bi]) {
-						batch = append(batch, bi)
-					}
-				}
-				if len(batch) > 0 {
-					g.adj[ai] = mergeSorted(g.adj[ai], batch)
-					added += len(batch)
-				}
+func (g *Graph) kindMasks(m *core.AllowMatrix, cls, reach []uint64) ([]uint64, []uint64) {
+	words := m.Words()
+	cls = zeroed(cls, len(g.kinds)*words)
+	reach = zeroed(reach, len(g.kinds)*words)
+	classes := m.Classes()
+	for k, kd := range g.kinds {
+		c, r := cls[k*words:(k+1)*words], reach[k*words:(k+1)*words]
+		for i, cl := range classes {
+			if !kd.instantiates(cl) {
+				continue
+			}
+			c[i/64] |= 1 << uint(i%64)
+			for w, x := range m.Row(i) {
+				r[w] |= x
 			}
 		}
-		counts[w] = added
+	}
+	return cls, reach
+}
+
+// zeroed returns s resized to n words, all zero, reusing its capacity.
+func zeroed(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// keepPermitted writes to dst, in order, the out-channels whose class
+// mask overlaps reach (the in-channel's reach mask) and returns how many
+// it wrote; dst must have room for all of outs. The loop is branch-free:
+// every candidate is written, and kept by advancing the count only when
+// the masks overlap. The first mask word is hoisted, so turn sets of up
+// to 64 classes never enter the inner word loop.
+//
+//ebda:hotpath
+func keepPermitted(dst, outs, kind []int32, reach, cls []uint64) int {
+	words := len(reach)
+	if words == 0 {
+		return 0
+	}
+	r0 := reach[0]
+	dst = dst[:len(outs)]
+	n := 0
+	for _, b := range outs {
+		kb := int(kind[b]) * words
+		m := r0 & cls[kb]
+		for i := 1; i < words; i++ {
+			m |= reach[i] & cls[kb+i]
+		}
+		dst[n] = b
+		n += int((m | -m) >> 63)
+	}
+	return n
+}
+
+// addTurnEdges is the engine behind AddTurnEdgesJobs and the Workspace
+// build: kind masks once per turn set, then one mask AND per candidate
+// (in, out) pair, with rows landing in per-worker arenas held by sc.
+//
+//ebda:hotpath
+func (g *Graph) addTurnEdges(ts *core.TurnSet, jobs int, sc *turnScratch) int {
+	m := ts.Matrix()
+	sc.words = m.Words()
+	sc.cls, sc.reach = g.kindMasks(m, sc.cls, sc.reach)
+	nc := len(g.channels)
+	workers := resolveJobs(jobs, nc)
+	for len(sc.arenas) < workers {
+		sc.arenas = append(sc.arenas, nil)
+	}
+	counts := make([]int, workers)
+	parallelFor(workers, func(w int) {
+		lo, hi := w*nc/workers, (w+1)*nc/workers
+		sc.arenas[w], counts[w] = g.fillTurnRows(lo, hi, sc, sc.arenas[w][:0])
 	})
 	added := 0
 	for _, c := range counts {
@@ -384,6 +515,51 @@ func (g *Graph) addTurnEdges(ts *core.TurnSet, jobs int, matched [][]int32) int 
 	}
 	g.edges += added
 	return added
+}
+
+// fillTurnRows builds the successor rows of channels [lo, hi) into arena
+// and returns the grown arena with the number of edges added. A channel's
+// candidates are the channels out of its head node; its row is any
+// existing content followed by the permitted candidates in byTail
+// (ascending) order, carved as a 3-index slice: each row's capacity ends
+// where its own region does, so a later insert or merge into one row
+// reallocates it instead of overwriting its neighbour.
+//
+//ebda:hotpath
+func (g *Graph) fillTurnRows(lo, hi int, sc *turnScratch, arena []int32) ([]int32, int) {
+	words, cls, reach, kind := sc.words, sc.cls, sc.reach, g.kind
+	// Every candidate pair can become an edge, so the pair count bounds
+	// the rows: reserve it once and the first build of a shape allocates
+	// its arena once instead of growing it by copies.
+	bound := 0
+	for a := lo; a < hi; a++ {
+		bound += len(g.byTail[g.channels[a].Link.To])
+	}
+	if cap(arena) < bound {
+		arena = make([]int32, 0, bound)
+	}
+	added := 0
+	for a := lo; a < hi; a++ {
+		outs := g.byTail[g.channels[a].Link.To]
+		old := g.adj[a]
+		if cap(arena)-len(arena) < len(old)+len(outs) {
+			// Only rows that already hold edges overrun the bound; rows
+			// carved so far keep the previous backing array.
+			arena = slices.Grow(arena, len(old)+len(outs))
+		}
+		start := len(arena)
+		arena = append(arena, old...)
+		mid := len(arena)
+		ka := int(kind[a]) * words
+		n := mid + keepPermitted(arena[mid:mid+len(outs)], outs, kind, reach[ka:ka+words], cls)
+		added += n - mid
+		if start < mid && mid < n && arena[mid-1] > arena[mid] {
+			slices.Sort(arena[start:n])
+		}
+		arena = arena[:n]
+		g.adj[a] = arena[start:n:n]
+	}
+	return arena, added
 }
 
 // parallelFor runs fn(w) for w in [0, workers) on separate goroutines

@@ -187,7 +187,7 @@ type savedRow struct {
 }
 
 // DeltaWorkspace retains one base verification — the built dependency
-// graph, the per-channel class-match lists, and the canonical final state
+// graph, the per-kind class masks, and the canonical final state
 // of the base peel — so perturbed variants of that design re-verify by
 // patching the structures in place instead of rebuilding them.
 //
@@ -224,6 +224,9 @@ type DeltaWorkspace struct {
 	rowEpoch  uint32
 	saved     []savedRow
 	arena     []int32
+	// modCls/modReach are the kind masks of the toggled turn set.
+	modCls   []uint64
+	modReach []uint64
 }
 
 // NewDeltaWorkspace builds a delta workspace over the base verification,
@@ -236,12 +239,17 @@ func NewDeltaWorkspace(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (*
 // (jobs <= 0 means all cores) and retains its state for incremental
 // re-verification. Cancellation returns ctx's error and no workspace.
 func NewDeltaWorkspaceCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
-	ws := NewWorkspace(net, vcs)
+	return newDeltaOver(ctx, NewWorkspace(net, vcs), ts, jobs)
+}
+
+// newDeltaOver runs the base verification of ts in ws and wraps the
+// workspace, which the delta workspace then owns.
+func newDeltaOver(ctx context.Context, ws *Workspace, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
 	rep, err := ws.VerifyTurnSetCtx(ctx, ts, jobs)
 	if err != nil {
 		return nil, err
 	}
-	key, check := verifyKey(net, vcs, ts)
+	key, check := verifyKey(ws.g.net, ws.g.vcs, ts)
 	nc := ws.g.NumChannels()
 	dw := &DeltaWorkspace{
 		ws:        ws,
@@ -432,7 +440,12 @@ func (dw *DeltaWorkspace) planTurnOps(diff Diff) error {
 	if mm.NumClasses() != m.NumClasses() {
 		return fmt.Errorf("%w: toggles changed the declared class set", ErrBadDiff)
 	}
-	matched := dw.ws.matched
+	// Candidates are filtered on the base class masks; the verdict for a
+	// candidate pair comes from reach masks of the toggled matrix. Both
+	// matrices intern the same classes in the same order.
+	sc := &dw.ws.build
+	words, cls, kind := sc.words, sc.cls, g.kind
+	dw.modCls, dw.modReach = g.kindMasks(mm, dw.modCls, dw.modReach)
 	nodes := g.net.Nodes()
 	toggled := make([]core.Turn, 0, len(diff.DisableTurns)+len(diff.EnableTurns))
 	toggled = append(toggled, diff.DisableTurns...)
@@ -443,17 +456,22 @@ func (dw *DeltaWorkspace) planTurnOps(diff Diff) error {
 		if !okF || !okT {
 			return fmt.Errorf("%w: turn %s>%s class not interned", ErrBadDiff, t.From, t.To)
 		}
+		fw, fbit := fi/64, uint64(1)<<uint(fi%64)
+		tw, tbit := ti/64, uint64(1)<<uint(ti%64)
 		for v := 0; v < nodes; v++ {
 			for _, ai := range g.byHead[v] {
-				if dw.masked[ai] || !containsIdx(matched[ai], int32(fi)) {
+				ka := int(kind[ai]) * words
+				if dw.masked[ai] || cls[ka+fw]&fbit == 0 {
 					continue
 				}
+				reach := dw.modReach[ka : ka+words]
 				for _, bi := range g.byTail[v] {
-					if dw.masked[bi] || !containsIdx(matched[bi], int32(ti)) {
+					kb := int(kind[bi]) * words
+					if dw.masked[bi] || cls[kb+tw]&tbit == 0 {
 						continue
 					}
 					had := g.HasEdge(int(ai), int(bi))
-					want := mm.AllowsAny(matched[ai], matched[bi])
+					want := maskOverlap(reach, cls[kb:kb+words]) != 0
 					switch {
 					case had && !want:
 						dw.rmOps = append(dw.rmOps, [2]int32{ai, bi})
@@ -709,16 +727,14 @@ func pairsIntersect(a, b [][2]int32) ([2]int32, bool) {
 	return [2]int32{}, false
 }
 
-// containsIdx reports whether the ascending index list contains v. Match
-// lists are tiny (a channel instantiates few classes), so a linear scan
-// beats a binary search.
-func containsIdx(list []int32, v int32) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
+// maskOverlap returns the OR of the word-wise ANDs of two equal-length
+// bitsets: nonzero exactly when they share a set bit.
+func maskOverlap(a, b []uint64) uint64 {
+	var m uint64
+	for i, x := range a {
+		m |= x & b[i]
 	}
-	return false
+	return m
 }
 
 // deleteSorted removes v from the ascending row, which must contain it.

@@ -2,9 +2,7 @@ package cdg
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"ebda/internal/channel"
@@ -14,21 +12,21 @@ import (
 )
 
 // Workspace owns a dependency graph plus all the scratch one verification
-// needs — the per-channel class-match lists and the Kahn/DFS state — so
-// repeated verifications on the same (network, VC configuration) shape
-// reset buffers instead of reallocating them. The channel table, head/tail
-// indices and coordinate table depend only on the shape and are built
-// once; only the adjacency rows change between turn sets, and Reset
-// truncates them in place, keeping their capacity.
+// needs — the per-kind class masks, the row arenas and the Kahn/DFS state
+// — so repeated verifications on the same (network, VC configuration)
+// shape reset buffers instead of reallocating them. The channel table,
+// head/tail indices and channel kinds depend only on the shape and are
+// built once; only the adjacency rows change between turn sets, and every
+// turn-set build carves them afresh from the retained arenas.
 //
 // A Workspace is single-verification at a time: its methods must not be
 // called concurrently (the verification itself still fans out over the
 // worker pool internally). Use a WorkspacePool to share workspaces across
 // goroutines.
 type Workspace struct {
-	g       *Graph
-	st      acyclicState
-	matched [][]int32
+	g     *Graph
+	st    acyclicState
+	build turnScratch
 }
 
 // NewWorkspace builds a workspace for one network shape.
@@ -40,11 +38,14 @@ func NewWorkspace(net *topology.Network, vcs VCConfig) *Workspace {
 // verification; Reset or another verification invalidates its edges.
 func (ws *Workspace) Graph() *Graph { return ws.g }
 
-// Reset removes every dependency edge, keeping the channel table and the
-// adjacency rows' capacity for the next build.
+// Reset removes every dependency edge, keeping the channel table for the
+// next build. Each row is truncated to its own capped slice: a row carved
+// from an arena keeps capacity only inside its own region, so a routing
+// merge into a reset row can never write into another row, and the next
+// turn-set build reassigns every row before it reuses the arena.
 func (ws *Workspace) Reset() {
-	for i := range ws.g.adj {
-		ws.g.adj[i] = ws.g.adj[i][:0]
+	for i, row := range ws.g.adj {
+		ws.g.adj[i] = row[:0]
 	}
 	ws.g.edges = 0
 }
@@ -99,12 +100,9 @@ func (ws *Workspace) VerifyTurnSetCtx(ctx context.Context, ts *core.TurnSet, job
 	vsp := tc.StartSpan("cdg.verify")
 	sp := phaseVerify.Start()
 	ws.Reset()
-	if ws.matched == nil {
-		ws.matched = make([][]int32, len(ws.g.channels))
-	}
 	tesp := tc.StartSpan("cdg.edges")
 	esp := phaseEdges.Start()
-	ws.g.addTurnEdges(ts, jobs, ws.matched)
+	ws.g.addTurnEdges(ts, jobs, &ws.build)
 	esp.End()
 	tesp.SetInt("edges", int64(ws.g.NumEdges()))
 	tesp.End()
@@ -143,21 +141,34 @@ func (ws *Workspace) VerifyRelationJobs(route RoutingRelation, name string, jobs
 }
 
 // poolKey identifies a workspace shape: the network (by identity —
-// geometry is immutable after build) and the canonical VC configuration.
+// geometry is immutable after build) and a digest of the effective
+// per-dimension VC counts, so VCConfigs that differ only in
+// representation (nil vs explicit ones, trailing defaults) share
+// workspaces. The digest is not trusted alone: Get checks each candidate's
+// VC counts, so a collision costs a fresh build, never a wrong workspace.
 type poolKey struct {
 	net *topology.Network
-	vcs string
+	vcs uint64
 }
 
-// canonicalVCs renders the effective per-dimension VC counts, so
-// VCConfigs that differ only in representation (nil vs explicit ones,
-// trailing defaults) share workspaces.
-func canonicalVCs(net *topology.Network, vcs VCConfig) string {
-	var b strings.Builder
+// shapeKey derives the pool key of a (network, VC configuration) shape.
+func shapeKey(net *topology.Network, vcs VCConfig) poolKey {
+	h := uint64(0x9e3779b97f4a7c15)
 	for d := 0; d < net.Dims(); d++ {
-		fmt.Fprintf(&b, "%d,", vcs.VCs(channel.Dim(d)))
+		h = mix64(h ^ uint64(vcs.VCs(channel.Dim(d))))
 	}
-	return b.String()
+	return poolKey{net, h}
+}
+
+// sameVCs reports whether two VC configurations give every dimension of
+// the network the same VC count.
+func sameVCs(net *topology.Network, a, b VCConfig) bool {
+	for d := 0; d < net.Dims(); d++ {
+		if a.VCs(channel.Dim(d)) != b.VCs(channel.Dim(d)) {
+			return false
+		}
+	}
+	return true
 }
 
 // WorkspacePool is a goroutine-safe free list of workspaces keyed by
@@ -182,12 +193,18 @@ var DefaultPool = &WorkspacePool{}
 // available.
 func (p *WorkspacePool) Get(net *topology.Network, vcs VCConfig) *Workspace {
 	obsPoolGets.Inc()
-	key := poolKey{net, canonicalVCs(net, vcs)}
+	key := shapeKey(net, vcs)
 	p.mu.Lock()
-	if list := p.free[key]; len(list) > 0 {
-		ws := list[len(list)-1]
-		list[len(list)-1] = nil
-		p.free[key] = list[:len(list)-1]
+	list := p.free[key]
+	for i := len(list) - 1; i >= 0; i-- {
+		ws := list[i]
+		if !sameVCs(net, ws.g.vcs, vcs) {
+			continue
+		}
+		last := len(list) - 1
+		list[i] = list[last]
+		list[last] = nil
+		p.free[key] = list[:last]
 		p.mu.Unlock()
 		obsPoolReuses.Inc()
 		return ws
@@ -200,7 +217,7 @@ func (p *WorkspacePool) Get(net *topology.Network, vcs VCConfig) *Workspace {
 // Graph obtained from it) afterwards.
 func (p *WorkspacePool) Put(ws *Workspace) {
 	obsPoolPuts.Inc()
-	key := poolKey{ws.g.net, canonicalVCs(ws.g.net, ws.g.vcs)}
+	key := shapeKey(ws.g.net, ws.g.vcs)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.free == nil {

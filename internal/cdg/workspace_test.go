@@ -1,9 +1,11 @@
 package cdg
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"ebda/internal/channel"
 	"ebda/internal/core"
 	"ebda/internal/topology"
 )
@@ -79,10 +81,13 @@ func TestWorkspacePoolReuse(t *testing.T) {
 	if got := pool.Get(net, nil); got != ws {
 		t.Error("pool did not reuse the returned workspace")
 	}
-	// Equivalent VC configurations share a shape.
-	pool.Put(ws)
-	if got := pool.Get(net, VCConfig{1, 1}); got != ws {
-		t.Error("nil and explicit all-ones VCConfig must share workspaces")
+	// Equivalent VC configurations share a shape: nil, short, explicit
+	// all-ones and non-positive entries all mean one VC per dimension.
+	for _, vcs := range []VCConfig{{1}, {1, 1}, {0, -2}, {1, 1, 4}} {
+		pool.Put(ws)
+		if got := pool.Get(net, vcs); got != ws {
+			t.Errorf("VCConfig %v did not reuse the nil-config workspace", vcs)
+		}
 	}
 	// Different VC configurations must not.
 	pool.Put(ws)
@@ -92,6 +97,13 @@ func TestWorkspacePoolReuse(t *testing.T) {
 	// Different network instances are distinct shapes (identity keyed).
 	if got := pool.Get(topology.NewMesh(3, 3), nil); got == ws {
 		t.Error("distinct network instance reused another network's workspace")
+	}
+	// The key is a digest; a workspace filed under it with other VC
+	// counts must never be handed out.
+	other := NewWorkspace(net, Uniform(2, 2))
+	pool.free = map[poolKey][]*Workspace{shapeKey(net, nil): {other}}
+	if got := pool.Get(net, nil); got == other {
+		t.Error("pool returned a workspace with different VC counts under a colliding key")
 	}
 }
 
@@ -142,5 +154,98 @@ func TestMergeSorted(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("mergeSorted(%v, %v) = %v, want %v", tc.row, tc.batch, got, tc.want)
 		}
+	}
+}
+
+// adaptiveRoute offers every VC of every minimal direction: richer rows
+// than a dimension-order turn set, so routing merges into reset rows grow
+// past what the previous turn-set build left there.
+func adaptiveRoute(g *Graph, at topology.NodeID, in *Channel, dst topology.NodeID) []int {
+	var out []int
+	for d, off := range g.Net().MinimalOffsets(at, dst) {
+		if off == 0 {
+			continue
+		}
+		sign := channel.Plus
+		if off < 0 {
+			sign = channel.Minus
+		}
+		for vc := 1; vc <= g.VCs().VCs(channel.Dim(d)); vc++ {
+			if ch, ok := g.FindChannel(at, channel.Dim(d), sign, vc); ok {
+				out = append(out, ch.Index)
+			}
+		}
+	}
+	return out
+}
+
+// TestWorkspaceArenaRowsNeverAlias drives one pooled workspace through
+// every writer of adjacency rows — turn-set builds, a routing merge into
+// reset rows, and delta inserts, deletes and rollback on full arena rows —
+// and compares every row with a from-scratch build after each step.
+func TestWorkspaceArenaRowsNeverAlias(t *testing.T) {
+	net := topology.NewMesh(5, 4)
+	vcs := Uniform(2, 2)
+	first := xyTurnSet()
+	second := core.MustParseChain("PA[X1* Y1+ Y2+] -> PB[X2* Y1- Y2-]").AllTurns()
+	for _, jobs := range []int{1, 3} {
+		pool := &WorkspacePool{}
+		ws := pool.Get(net, vcs)
+		check := func(step string, want *Graph) {
+			t.Helper()
+			if diff := sameGraph(ws.Graph(), want); diff != "" {
+				t.Fatalf("jobs=%d after %s: %s", jobs, step, diff)
+			}
+		}
+		ws.VerifyTurnSetJobs(first, jobs)
+		check("first turn-set build", BuildFromTurnSetJobs(net, vcs, first, jobs))
+
+		ws.VerifyRelationJobs(adaptiveRoute, "", jobs)
+		routed := NewGraph(net, vcs)
+		routed.AddRoutingEdgesJobs(adaptiveRoute, 1)
+		check("routing merge into reset rows", routed)
+
+		ws.VerifyTurnSetJobs(second, jobs)
+		fresh := BuildFromTurnSetJobs(net, vcs, second, 1)
+		check("second turn-set build", fresh)
+
+		// Delta on the same workspace: insert into a full row whose
+		// arena neighbour is non-empty, delete from another, roll back.
+		dw, err := newDeltaOver(context.Background(), ws, second, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := ws.Graph()
+		a := -1
+		for i := 0; i+1 < g.NumChannels() && a < 0; i++ {
+			if row := g.Succs(i); len(row) > 0 && len(row) == cap(row) && len(g.Succs(i+1)) > 0 {
+				a = i
+			}
+		}
+		if a < 0 {
+			t.Fatal("no full arena row with a non-empty neighbour")
+		}
+		b := int32(0)
+		for g.HasEdge(a, int(b)) {
+			b++
+		}
+		c := (a + 7) % g.NumChannels()
+		for len(g.Succs(c)) == 0 {
+			c = (c + 1) % g.NumChannels()
+		}
+		d := g.Succs(c)[0]
+		diff := Diff{AddEdges: [][2]int32{{int32(a), b}}, RemoveEdges: [][2]int32{{int32(c), d}}}
+		if err := dw.planDiff(diff); err != nil {
+			t.Fatal(err)
+		}
+		dw.applyOps()
+		patched := BuildFromTurnSetJobs(net, vcs, second, 1)
+		patched.AddEdge(a, int(b))
+		patched.adj[c] = deleteSorted(patched.adj[c], d)
+		patched.edges--
+		check("delta insert and delete", patched)
+		dw.rollback()
+		check("delta rollback", fresh)
+		pool.Put(ws)
 	}
 }

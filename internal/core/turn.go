@@ -313,6 +313,13 @@ func (m *AllowMatrix) Index(c channel.Class) (int, bool) {
 	return int(i), ok
 }
 
+// Words returns the number of 64-bit words in one Row bitset.
+func (m *AllowMatrix) Words() int { return m.words }
+
+// Row returns the bitset of classes reachable from class index i, Words()
+// words long. The slice must not be modified.
+func (m *AllowMatrix) Row(i int) []uint64 { return m.rows[i*m.words : (i+1)*m.words] }
+
 // Allows reports whether the transition from class index from to class
 // index to is permitted.
 func (m *AllowMatrix) Allows(from, to int) bool {
@@ -320,7 +327,7 @@ func (m *AllowMatrix) Allows(from, to int) bool {
 }
 
 // AllowsAny reports whether any (from, to) pair across the two index sets
-// is permitted — the inner test of dependency-edge construction.
+// is permitted.
 func (m *AllowMatrix) AllowsAny(from, to []int32) bool {
 	for _, a := range from {
 		row := m.rows[int(a)*m.words:]

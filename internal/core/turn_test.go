@@ -72,7 +72,11 @@ func TestMatrixContinuationAndUnknown(t *testing.T) {
 	if _, ok := m.Index(channel.New(channel.X, channel.Minus)); ok {
 		t.Error("unknown class must not resolve")
 	}
-	// AllowsAny covers the pairwise any-match used by edge construction.
+	// Row exposes the same relation as a bitset per source class.
+	if m.Words() != 1 || m.Row(ei)[0] != 1<<uint(ei)|1<<uint(ni) || m.Row(ni)[0] != 1<<uint(ni) {
+		t.Errorf("rows = %b, %b; want the continuation bits plus E->N", m.Row(ei), m.Row(ni))
+	}
+	// AllowsAny is the pairwise any-match over index sets.
 	if !m.AllowsAny([]int32{int32(ei)}, []int32{int32(ni)}) {
 		t.Error("AllowsAny must see the explicit turn")
 	}
