@@ -62,6 +62,7 @@ func TestHotpathAnnotationsPresent(t *testing.T) {
 	want := map[string][]string{
 		"internal/cdg":  {"VerifyTurnSetJobs", "kahnPeel", "AddEdges", "NewGraph", "addTurnEdges", "kindMasks", "fillTurnRows", "keepPermitted", "mergeSorted", "insertSorted"},
 		"internal/core": {"Matrix"},
+		"internal/sim":  {"allocate", "tryAllocate", "traverse", "collectRequests", "popFront"},
 	}
 	for rel, names := range want {
 		pkg := loadRepoPackage(t, rel)

@@ -30,6 +30,14 @@ type Algorithm interface {
 	// injection port. The returned classes are concrete requests
 	// (dimension, direction, VC; parity always Any). An empty result for
 	// cur != dst means the algorithm is broken for that situation.
+	//
+	// Candidates must be a deterministic function of its arguments: the
+	// same (net, cur, *in, dst) always yields the same classes in the
+	// same order, whatever was asked before. Callers rely on this to
+	// compute a packet's candidates once and reuse them while it waits
+	// (the simulator does). The returned slice belongs to the caller to
+	// read but not to modify, and an implementation must not retain or
+	// modify *in.
 	Candidates(net *topology.Network, cur topology.NodeID, in *channel.Class, dst topology.NodeID) []channel.Class
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ebda/internal/channel"
 	"ebda/internal/topology"
 )
 
@@ -21,10 +20,17 @@ type waitNode struct {
 // buffers each of which cannot advance until the next one drains or frees.
 // It returns a human-readable trace, or a note when no cycle is found
 // (e.g. when the wedge is caused by a routing function that returned no
-// candidates).
+// candidates). The search starts from the wait nodes in the order the
+// scan first meets them, so the same wedge always yields the same trace.
 func (s *Simulator) diagnose() string {
 	edges := map[waitNode][]waitNode{}
-	addEdge := func(from, to waitNode) { edges[from] = append(edges[from], to) }
+	var order []waitNode
+	addEdge := func(from, to waitNode) {
+		if _, seen := edges[from]; !seen {
+			order = append(order, from)
+		}
+		edges[from] = append(edges[from], to)
+	}
 
 	// target returns the wait node a blocked sender points at: the
 	// downstream buffer it needs space or ownership in. If that buffer
@@ -46,9 +52,7 @@ func (s *Simulator) diagnose() string {
 				case ivc.assigned && int(ivc.outPort) != s.ejectPort():
 					addEdge(me, target(r, int(ivc.outPort), int(ivc.outVC)))
 				case !ivc.assigned && ivc.buf[0].head:
-					d, sign := portDir(p)
-					in := channel.NewVC(d, sign, v+1)
-					for _, c := range s.cfg.Alg.Candidates(s.net, r.id, &in, ivc.buf[0].pkt.dst) {
+					for _, c := range s.cfg.Alg.Candidates(s.net, r.id, &ivc.cls, ivc.buf[0].pkt.dst) {
 						op := dirPort(c.Dim, c.Sign)
 						if op < s.ports && r.hasOut[op] && c.VC-1 < len(r.out[op]) {
 							addEdge(me, target(r, op, c.VC-1))
@@ -57,12 +61,12 @@ func (s *Simulator) diagnose() string {
 				}
 			}
 		}
-		if len(r.srcQ) > 0 {
+		if r.srcLen() > 0 {
 			me := waitNode{router: r.id, src: true}
 			if r.src.assigned && int(r.src.outPort) != s.ejectPort() {
 				addEdge(me, target(r, int(r.src.outPort), int(r.src.outVC)))
-			} else if !r.src.assigned && r.srcQ[0].head {
-				for _, c := range s.cfg.Alg.Candidates(s.net, r.id, nil, r.srcQ[0].pkt.dst) {
+			} else if !r.src.assigned && r.srcQ[r.srcHead].head {
+				for _, c := range s.cfg.Alg.Candidates(s.net, r.id, nil, r.srcQ[r.srcHead].pkt.dst) {
 					op := dirPort(c.Dim, c.Sign)
 					if op < s.ports && r.hasOut[op] && c.VC-1 < len(r.out[op]) {
 						addEdge(me, target(r, op, c.VC-1))
@@ -123,7 +127,7 @@ func (s *Simulator) diagnose() string {
 		stack = stack[:len(stack)-1]
 		return false
 	}
-	for u := range edges {
+	for _, u := range order {
 		if color[u] == white && dfs(u) {
 			break
 		}
@@ -151,7 +155,7 @@ func (s *Simulator) describe(n waitNode) string {
 			d, sg := portDir(int(r.src.outPort))
 			state = fmt.Sprintf("allocated %s%s vc%d", d, sg, r.src.outVC+1)
 		}
-		return fmt.Sprintf("source queue at %v (%d flits, %s)", coord, len(r.srcQ), state)
+		return fmt.Sprintf("source queue at %v (%d flits, %s)", coord, r.srcLen(), state)
 	}
 	d, sg := portDir(n.port)
 	ivc := &r.in[n.port][n.vc]

@@ -181,8 +181,10 @@ type Result struct {
 	// P50Latency, P95Latency and P99Latency are latency percentiles over
 	// measured packets; MaxLatency is the worst observed.
 	P50Latency, P95Latency, P99Latency, MaxLatency int
-	// Throughput is the accepted traffic during the measurement window,
-	// in flits per node per cycle.
+	// Throughput is the delivered traffic of the packets generated
+	// during the measurement window, in flits per node per measured
+	// cycle: their flits count whenever they are ejected, drain
+	// included.
 	Throughput float64
 	// LatencyStd is the standard deviation of measured packet latencies.
 	LatencyStd float64
@@ -227,12 +229,19 @@ type flit struct {
 }
 
 // inVC is one input virtual-channel FIFO plus its route assignment for the
-// packet currently at its front.
+// packet currently at its front. port and vc locate it on its router, and
+// cls is its channel class, the input class the routing function sees.
+// cands memoises the routing function's answer for candFor, the head it
+// was computed for: a head blocked for many cycles is routed once.
 type inVC struct {
 	buf      []flit
 	assigned bool
 	outPort  int16
 	outVC    int16
+	port, vc int16
+	cls      channel.Class
+	candFor  *packetInfo
+	cands    []channel.Class
 }
 
 // outVC tracks one downstream virtual channel: whether a packet currently
@@ -250,7 +259,10 @@ type outVC struct {
 
 // router is one node's switching state.
 type router struct {
-	id       topology.NodeID
+	id topology.NodeID
+	// vcs holds every input VC in (port, VC) order; in[p] is port p's
+	// slice of it.
+	vcs      []inVC
 	in       [][]inVC // [port][vc]
 	out      [][]outVC
 	hasOut   []bool
@@ -262,10 +274,22 @@ type router struct {
 	// not exist even though the forward one does.
 	upstream []topology.NodeID
 	hasUp    []bool
-	srcQ     []flit
-	src      inVC // assignment state for the source queue front
-	saPtr    []int
+	// srcQ[srcHead:] is the source queue; popping advances srcHead so
+	// the backing array is reused.
+	srcQ    []flit
+	srcHead int
+	src     inVC // assignment state for the source queue front
+	saPtr   []int
+	// buffered counts the flits in the input VC FIFOs; a router with
+	// none and an empty source queue has nothing to do this cycle.
+	buffered int
 }
+
+// idle reports whether the router holds no flit at all.
+func (r *router) idle() bool { return r.buffered == 0 && r.srcHead == len(r.srcQ) }
+
+// srcLen is the number of flits in the source queue.
+func (r *router) srcLen() int { return len(r.srcQ) - r.srcHead }
 
 // Simulator runs one configuration.
 type Simulator struct {
@@ -292,6 +316,11 @@ type Simulator struct {
 	// LinkLatency > 1.
 	linkLoad []int
 	pending  []arrival
+	// reqs buckets one router's switch requests by output port (the
+	// ejection port last); opts holds one allocation's allocatable
+	// candidates. Both are scratch reused across routers and cycles.
+	reqs [][]requester
+	opts []option
 }
 
 // Replicated aggregates independent runs of the same configuration under
@@ -381,8 +410,19 @@ func New(cfg Config) *Simulator {
 		ports: 2 * cfg.Net.Dims(),
 	}
 	s.routers = make([]*router, cfg.Net.Nodes())
+	// Every input VC FIFO gets BufferDepth slots of one shared array:
+	// credits keep a FIFO from holding more, so appends never reallocate.
+	vcsPerRouter := 0
+	for p := 0; p < s.ports; p++ {
+		d, _ := portDir(p)
+		vcsPerRouter += cfg.VCs[d]
+	}
+	depth := cfg.BufferDepth
+	slots := make([]flit, len(s.routers)*vcsPerRouter*depth)
+	inVCs := make([]inVC, len(s.routers)*vcsPerRouter)
 	for id := range s.routers {
-		r := &router{id: topology.NodeID(id)}
+		r := &router{id: topology.NodeID(id), vcs: inVCs[:vcsPerRouter:vcsPerRouter]}
+		inVCs = inVCs[vcsPerRouter:]
 		r.in = make([][]inVC, s.ports)
 		r.out = make([][]outVC, s.ports)
 		r.hasOut = make([]bool, s.ports)
@@ -390,10 +430,19 @@ func New(cfg Config) *Simulator {
 		r.upstream = make([]topology.NodeID, s.ports)
 		r.hasUp = make([]bool, s.ports)
 		r.saPtr = make([]int, s.ports+1) // +1 for the ejection port
+		off := 0
 		for p := 0; p < s.ports; p++ {
 			d, sign := portDir(p)
 			vcs := cfg.VCs[d]
-			r.in[p] = make([]inVC, vcs)
+			r.in[p] = r.vcs[off : off+vcs : off+vcs]
+			off += vcs
+			for v := range r.in[p] {
+				ivc := &r.in[p][v]
+				ivc.port, ivc.vc = int16(p), int16(v)
+				ivc.cls = channel.NewVC(d, sign, v+1)
+				ivc.buf = slots[:0:depth]
+				slots = slots[depth:]
+			}
 			r.out[p] = make([]outVC, vcs)
 			for v := range r.out[p] {
 				r.out[p][v].credits = cfg.BufferDepth
@@ -405,6 +454,7 @@ func New(cfg Config) *Simulator {
 		}
 		s.routers[id] = r
 	}
+	s.reqs = make([][]requester, s.ports+1)
 	s.linkLoad = make([]int, len(s.routers)*s.ports)
 	s.deliveredBySrc = make([]int, len(s.routers))
 	// Wire upstream feeders from forward links: the input port p of the
@@ -573,7 +623,7 @@ func (s *Simulator) inject() {
 		for s.traceIdx < len(s.cfg.Trace) && s.cfg.Trace[s.traceIdx].Cycle <= s.cycle {
 			e := s.cfg.Trace[s.traceIdx]
 			s.traceIdx++
-			if e.Src == e.Dst || int(e.Src) >= s.net.Nodes() || int(e.Dst) >= s.net.Nodes() {
+			if e.Src == e.Dst || e.Src < 0 || e.Dst < 0 || int(e.Src) >= s.net.Nodes() || int(e.Dst) >= s.net.Nodes() {
 				continue
 			}
 			length := e.Len
@@ -607,6 +657,11 @@ func (s *Simulator) enqueuePacket(src, dst topology.NodeID, length int) {
 		measured: s.cycle >= s.cfg.Warmup && s.cycle < s.cfg.Warmup+s.cfg.Measure,
 	}
 	r := s.routers[src]
+	if r.srcHead > 0 && len(r.srcQ)+length > cap(r.srcQ) {
+		// Slide the queued flits to the front rather than grow.
+		r.srcQ = r.srcQ[:copy(r.srcQ, r.srcQ[r.srcHead:])]
+		r.srcHead = 0
+	}
 	for i := 0; i < length; i++ {
 		r.srcQ = append(r.srcQ, flit{
 			pkt:  pkt,
@@ -620,32 +675,43 @@ func (s *Simulator) enqueuePacket(src, dst topology.NodeID, length int) {
 }
 
 // allocate performs RC + VC allocation for every input VC (and source
-// queue) whose front flit is an unassigned head.
+// queue) whose front flit is an unassigned head. Idle routers are
+// skipped; they have nothing to route and draw no random numbers.
+//
+//ebda:hotpath
 func (s *Simulator) allocate() {
 	for _, r := range s.routers {
-		for p := 0; p < s.ports; p++ {
-			d, sign := portDir(p)
-			for v := range r.in[p] {
-				ivc := &r.in[p][v]
+		if r.buffered > 0 {
+			for i := range r.vcs {
+				ivc := &r.vcs[i]
 				if ivc.assigned || len(ivc.buf) == 0 || !ivc.buf[0].head {
 					continue
 				}
-				in := channel.NewVC(d, sign, v+1)
-				s.tryAllocate(r, ivc, &in, ivc.buf[0].pkt, wholePacketBuffered(ivc.buf), p, v, false)
+				s.tryAllocate(r, ivc, ivc.buf[0].pkt, wholePacketBuffered(ivc.buf), false)
 			}
 		}
-		if !r.src.assigned && len(r.srcQ) > 0 && r.srcQ[0].head {
-			s.tryAllocate(r, &r.src, nil, r.srcQ[0].pkt, true, 0, 0, true)
+		if !r.src.assigned && r.srcLen() > 0 && r.srcQ[r.srcHead].head {
+			s.tryAllocate(r, &r.src, r.srcQ[r.srcHead].pkt, true, true)
 		}
 	}
 }
 
+// option is one allocatable candidate output VC.
+type option struct {
+	port, vc, credits int
+}
+
 // tryAllocate runs the routing function and claims a free downstream VC
-// according to the selection policy. inPort/inVCIdx/fromSrc identify the
-// requesting input for holder tracking. pkt is the packet being routed and
-// wholePresent reports whether all its flits are buffered locally (always
-// true at injection); VCT and SAF gate allocation on packet length.
-func (s *Simulator) tryAllocate(r *router, ivc *inVC, in *channel.Class, pkt *packetInfo, wholePresent bool, inPort, inVCIdx int, fromSrc bool) {
+// for the input ivc according to the selection policy. fromSrc marks ivc
+// as the source queue, which routes with a nil input class. pkt is the
+// packet being routed and wholePresent reports whether all its flits are
+// buffered locally (always true at injection); VCT and SAF gate
+// allocation on packet length. The candidate list is computed once per
+// head and reused while it waits (Candidates is a pure function of its
+// arguments).
+//
+//ebda:hotpath
+func (s *Simulator) tryAllocate(r *router, ivc *inVC, pkt *packetInfo, wholePresent, fromSrc bool) {
 	dst := pkt.dst
 	if dst == r.id {
 		ivc.assigned = true
@@ -662,12 +728,16 @@ func (s *Simulator) tryAllocate(r *router, ivc *inVC, in *channel.Class, pkt *pa
 			return
 		}
 	}
-	cands := s.cfg.Alg.Candidates(s.net, r.id, in, dst)
-	type option struct {
-		port, vc, credits int
+	if ivc.candFor != pkt {
+		in := &ivc.cls
+		if fromSrc {
+			in = nil
+		}
+		ivc.cands = s.cfg.Alg.Candidates(s.net, r.id, in, dst)
+		ivc.candFor = pkt
 	}
-	var opts []option
-	for _, c := range cands {
+	opts := s.opts[:0]
+	for _, c := range ivc.cands {
 		p := dirPort(c.Dim, c.Sign)
 		if p >= s.ports || !r.hasOut[p] || c.VC-1 >= len(r.out[p]) {
 			continue
@@ -678,6 +748,7 @@ func (s *Simulator) tryAllocate(r *router, ivc *inVC, in *channel.Class, pkt *pa
 		}
 		opts = append(opts, option{port: p, vc: c.VC - 1, credits: ovc.credits})
 	}
+	s.opts = opts
 	if len(opts) == 0 {
 		return
 	}
@@ -697,8 +768,8 @@ func (s *Simulator) tryAllocate(r *router, ivc *inVC, in *channel.Class, pkt *pa
 	}
 	ovc := &r.out[pick.port][pick.vc]
 	ovc.held = true
-	ovc.holderPort = int16(inPort)
-	ovc.holderVC = int16(inVCIdx)
+	ovc.holderPort = ivc.port
+	ovc.holderVC = ivc.vc
 	ovc.holderSrc = fromSrc
 	ivc.assigned = true
 	ivc.outPort = int16(pick.port)
@@ -734,15 +805,22 @@ type arrival struct {
 }
 
 // traverse performs switch allocation and link/ejection traversal; it
-// returns whether any flit moved.
+// returns whether any flit moved. Routers are processed in ID order and
+// each one's requests are collected when it is reached, so credits
+// returned by routers earlier in the same cycle are already visible.
+//
+//ebda:hotpath
 func (s *Simulator) traverse() bool {
 	moved := false
 	measuring := s.cycle >= s.cfg.Warmup && s.cycle < s.cfg.Warmup+s.cfg.Measure
 	for _, r := range s.routers {
+		if r.idle() {
+			continue
+		}
+		s.collectRequests(r)
 		// Each output port (plus ejection) accepts one flit per cycle,
 		// arbitrated round-robin over requesting input VCs.
-		for op := 0; op <= s.ports; op++ {
-			reqs := s.requesters(r, op)
+		for op, reqs := range s.reqs {
 			if len(reqs) == 0 {
 				continue
 			}
@@ -781,6 +859,7 @@ func (s *Simulator) traverse() bool {
 		if a.at <= s.cycle {
 			a.f.ready = s.cycle + s.cfg.RouterLatency
 			s.routers[a.to].in[a.port][a.vc].buf = append(s.routers[a.to].in[a.port][a.vc].buf, a.f)
+			s.routers[a.to].buffered++
 		} else {
 			kept = append(kept, a)
 		}
@@ -798,39 +877,52 @@ type requester struct {
 	vc   int // allocated output VC (meaningless for ejection)
 }
 
-// requesters collects the ready inputs for an output port.
-func (s *Simulator) requesters(r *router, op int) []requester {
-	var out []requester
-	eject := op == s.ejectPort()
-	for p := 0; p < s.ports; p++ {
-		for v := range r.in[p] {
-			ivc := &r.in[p][v]
-			if !ivc.assigned || int(ivc.outPort) != op || len(ivc.buf) == 0 {
+// collectRequests walks the router's inputs once and buckets the ready
+// ones into s.reqs by output port. Within a bucket requesters are in
+// (input port, VC) order with the source queue last, the order the
+// round-robin pointers index. Serving one output port changes no other
+// port's requests (an input requests one port, and a port's credits move
+// only when it sends), so the buckets stay valid for the whole router.
+//
+//ebda:hotpath
+func (s *Simulator) collectRequests(r *router) {
+	for op := range s.reqs {
+		s.reqs[op] = s.reqs[op][:0]
+	}
+	eject := s.ejectPort()
+	if r.buffered > 0 {
+		for i := range r.vcs {
+			ivc := &r.vcs[i]
+			if !ivc.assigned || len(ivc.buf) == 0 || ivc.buf[0].ready > s.cycle {
+				continue // unrouted, empty, or still in the router pipeline
+			}
+			op := int(ivc.outPort)
+			if op != eject && r.out[op][ivc.outVC].credits <= 0 {
 				continue
 			}
-			if ivc.buf[0].ready > s.cycle {
-				continue // still in the router pipeline
-			}
-			if !eject && r.out[op][ivc.outVC].credits <= 0 {
-				continue
-			}
-			out = append(out, requester{port: p, vcIn: v, vc: int(ivc.outVC)})
+			s.reqs[op] = append(s.reqs[op], requester{port: int(ivc.port), vcIn: int(ivc.vc), vc: int(ivc.outVC)})
 		}
 	}
-	if r.src.assigned && int(r.src.outPort) == op && len(r.srcQ) > 0 {
-		if eject || r.out[op][r.src.outVC].credits > 0 {
-			out = append(out, requester{src: true, vc: int(r.src.outVC)})
+	if r.src.assigned && r.srcLen() > 0 {
+		op := int(r.src.outPort)
+		if op == eject || r.out[op][r.src.outVC].credits > 0 {
+			s.reqs[op] = append(s.reqs[op], requester{src: true, vc: int(r.src.outVC)})
 		}
 	}
-	return out
 }
 
 // popFront removes the front flit of the winning input and resets its
-// assignment on tail.
+// assignment on tail. Input FIFOs shift down in place and the source
+// queue advances its head, so neither loses capacity.
+//
+//ebda:hotpath
 func (s *Simulator) popFront(r *router, w requester) (flit, bool) {
 	if w.src {
-		f := r.srcQ[0]
-		r.srcQ = r.srcQ[1:]
+		f := r.srcQ[r.srcHead]
+		r.srcHead++
+		if r.srcHead == len(r.srcQ) {
+			r.srcQ, r.srcHead = r.srcQ[:0], 0
+		}
 		if f.tail {
 			r.src.assigned = false
 		}
@@ -838,7 +930,8 @@ func (s *Simulator) popFront(r *router, w requester) (flit, bool) {
 	}
 	ivc := &r.in[w.port][w.vcIn]
 	f := ivc.buf[0]
-	ivc.buf = ivc.buf[1:]
+	ivc.buf = ivc.buf[:copy(ivc.buf, ivc.buf[1:])]
+	r.buffered--
 	if f.tail {
 		ivc.assigned = false
 	}

@@ -218,3 +218,24 @@ func TestVCTNeverInterleavesBuffers(t *testing.T) {
 		t.Errorf("VCT run: %s", res)
 	}
 }
+
+func TestTraceNegativeNodeIDsSkipped(t *testing.T) {
+	// A hand-built trace is not bounds-checked the way ParseTrace's
+	// output is: entries naming a node outside the network, negative IDs
+	// included, are skipped instead of indexing past the routers.
+	net := topology.NewMesh(4, 4)
+	trace := []traffic.TraceEntry{
+		{Cycle: 0, Src: -1, Dst: 5},
+		{Cycle: 1, Src: 3, Dst: -1},
+		{Cycle: 2, Src: -2, Dst: -3},
+		{Cycle: 3, Src: 0, Dst: 16},
+		{Cycle: 4, Src: 0, Dst: 15},
+	}
+	res := New(Config{
+		Net: net, Alg: routing.NewXY(), Trace: trace,
+		Warmup: 0, Measure: 50, Drain: 100, Seed: 1,
+	}).Run()
+	if res.InjectedPackets != 1 || res.DeliveredPackets != 1 {
+		t.Errorf("injected %d delivered %d, want only the one valid entry", res.InjectedPackets, res.DeliveredPackets)
+	}
+}

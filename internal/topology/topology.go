@@ -231,29 +231,28 @@ func (n *Network) InBounds(c Coord) bool {
 // Neighbor returns the node reached from id by one hop in direction
 // (d, sign) and whether that link exists (considering bounds, wraparound,
 // and the irregularity filter). wrapped reports whether the hop used a
-// wraparound link.
+// wraparound link. The hop is stride arithmetic on the node ID; only a
+// filtered network allocates, to build the coordinate its filter
+// inspects.
 func (n *Network) Neighbor(id NodeID, d channel.Dim, sign channel.Sign) (to NodeID, wrapped, ok bool) {
-	c := n.Coord(id)
-	if n.filter != nil && !n.filter(c, d, sign) {
+	if n.filter != nil && !n.filter(n.Coord(id), d, sign) {
 		return 0, false, false
 	}
-	x := c[int(d)] + int(sign)
+	stride, k := n.strides[d], n.dims[d]
+	x := int(id)/stride%k + int(sign)
 	switch {
 	case x < 0:
 		if !n.wrap[d] {
 			return 0, false, false
 		}
-		x = n.dims[d] - 1
-		wrapped = true
-	case x >= n.dims[d]:
+		return id + NodeID((k-1)*stride), true, true
+	case x >= k:
 		if !n.wrap[d] {
 			return 0, false, false
 		}
-		x = 0
-		wrapped = true
+		return id - NodeID((k-1)*stride), true, true
 	}
-	c[int(d)] = x
-	return n.ID(c), wrapped, true
+	return id + NodeID(int(sign)*stride), false, true
 }
 
 // HasLink reports whether the unidirectional link from id in direction
@@ -307,21 +306,22 @@ func (n *Network) Links() []Link {
 
 // MinimalOffsets returns, per dimension, the signed hop count of a minimal
 // route from src to dst. In wraparound dimensions the shorter way around is
-// chosen (ties resolve to the positive direction).
+// chosen (ties resolve to the positive direction). The coordinates are
+// read off the node IDs by stride arithmetic; only the result allocates.
 func (n *Network) MinimalOffsets(src, dst NodeID) []int {
-	a, b := n.Coord(src), n.Coord(dst)
 	out := make([]int, len(n.dims))
-	for i := range n.dims {
-		delta := b[i] - a[i]
+	a, b := int(src), int(dst)
+	for i, k := range n.dims {
+		delta := b%k - a%k
+		a /= k
+		b /= k
 		if n.wrap[i] {
-			k := n.dims[i]
 			alt := delta
 			switch {
 			case delta > 0 && delta > k/2:
 				alt = delta - k
 			case delta < 0 && -delta > k/2:
 				alt = delta + k
-			case delta < 0 && -delta == k-(-delta): // unreachable; keep delta
 			}
 			if abs(alt) < abs(delta) || (abs(alt) == abs(delta) && alt > 0) {
 				delta = alt

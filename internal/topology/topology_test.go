@@ -229,3 +229,107 @@ func TestBuildPanics(t *testing.T) {
 	}()
 	NewMesh(1)
 }
+
+// coordNeighbor and coordOffsets are the coordinate-based Neighbor and
+// MinimalOffsets the stride arithmetic replaced, kept as references.
+func coordNeighbor(n *Network, id NodeID, d channel.Dim, sign channel.Sign) (to NodeID, wrapped, ok bool) {
+	c := n.Coord(id)
+	if n.filter != nil && !n.filter(c, d, sign) {
+		return 0, false, false
+	}
+	x := c[int(d)] + int(sign)
+	switch {
+	case x < 0:
+		if !n.wrap[d] {
+			return 0, false, false
+		}
+		x = n.dims[d] - 1
+		wrapped = true
+	case x >= n.dims[d]:
+		if !n.wrap[d] {
+			return 0, false, false
+		}
+		x = 0
+		wrapped = true
+	}
+	c[int(d)] = x
+	return n.ID(c), wrapped, true
+}
+
+func coordOffsets(n *Network, src, dst NodeID) []int {
+	a, b := n.Coord(src), n.Coord(dst)
+	out := make([]int, len(n.dims))
+	for i := range n.dims {
+		delta := b[i] - a[i]
+		if n.wrap[i] {
+			k := n.dims[i]
+			alt := delta
+			switch {
+			case delta > 0 && delta > k/2:
+				alt = delta - k
+			case delta < 0 && -delta > k/2:
+				alt = delta + k
+			}
+			if abs(alt) < abs(delta) || (abs(alt) == abs(delta) && alt > 0) {
+				delta = alt
+			}
+		}
+		out[i] = delta
+	}
+	return out
+}
+
+// TestStrideArithmeticMatchesCoordPath holds Neighbor and MinimalOffsets
+// against their coordinate-based references for every node pair and
+// direction on meshes, tori, a mixed-wrap network, a link-faulty torus
+// and a partial 3D network.
+func TestStrideArithmeticMatchesCoordPath(t *testing.T) {
+	torus := NewTorus(4, 5)
+	nets := []*Network{
+		NewMesh(5, 4, 3), NewTorus(2, 3), torus, NewTorus(3, 3, 2),
+		build("mixed", []int{4, 3}, []bool{true, false}, nil),
+		torus.WithoutLinks([]Link{
+			{From: torus.ID(Coord{3, 1}), Dim: channel.X, Sign: channel.Plus},
+			{From: torus.ID(Coord{0, 0}), Dim: channel.Y, Sign: channel.Minus},
+		}),
+		NewPartialMesh3D(3, 3, 2, [][2]int{{1, 2}}),
+	}
+	for _, n := range nets {
+		for id := NodeID(0); int(id) < n.Nodes(); id++ {
+			for d := 0; d < n.Dims(); d++ {
+				for _, sign := range []channel.Sign{channel.Plus, channel.Minus} {
+					to, wrapped, ok := n.Neighbor(id, channel.Dim(d), sign)
+					wantTo, wantWrapped, wantOK := coordNeighbor(n, id, channel.Dim(d), sign)
+					if to != wantTo || wrapped != wantWrapped || ok != wantOK {
+						t.Fatalf("%v: Neighbor(%v, %d, %v) = (%d, %v, %v), want (%d, %v, %v)",
+							n, n.Coord(id), d, sign, to, wrapped, ok, wantTo, wantWrapped, wantOK)
+					}
+				}
+			}
+			for dst := NodeID(0); int(dst) < n.Nodes(); dst++ {
+				got, want := n.MinimalOffsets(id, dst), coordOffsets(n, id, dst)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v: MinimalOffsets(%v, %v) = %v, want %v", n, n.Coord(id), n.Coord(dst), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborAllocationFree pins that unfiltered Neighbor and HasLink
+// allocate nothing: routing algorithms call them per hop.
+func TestNeighborAllocationFree(t *testing.T) {
+	for _, n := range []*Network{NewMesh(8, 8), NewTorus(4, 4)} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for id := NodeID(0); int(id) < n.Nodes(); id++ {
+				n.Neighbor(id, channel.X, channel.Minus)
+				n.HasLink(id, channel.Y, channel.Plus)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: Neighbor/HasLink allocate %.1f times per sweep, want 0", n, allocs)
+		}
+	}
+}
