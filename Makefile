@@ -106,18 +106,21 @@ serve-smoke:
 graph-smoke:
 	GO="$(GO)" ./scripts/graph-smoke.sh
 
-# fuzz-short gives the /v1 request decoder, the graphio text and JSON
-# parsers (each differential against the decoder it replaced), the
-# verify-cache snapshot loader and the turn-set CDG builder (differential
-# against the builder it replaced) a brief native-fuzz shake on every check;
-# the seeded corpus alone regresses in milliseconds, the 5s budget lets
-# the mutator explore a little too.
+# fuzz-short gives the /v1 request decoder, the /v1/verify/graph request
+# scanner, the graphio text and JSON parsers and the bulk edge-set builder
+# (each differential against the code it replaced), the verify-cache
+# snapshot loader and the turn-set CDG builder (differential against the
+# builder it replaced) a brief native-fuzz shake on every check; the
+# seeded corpus alone regresses in milliseconds, the 5s budget lets the
+# mutator explore a little too.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVerifyRequest -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeGraphRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseCDG -fuzztime=5s ./internal/graphio
 	$(GO) test -run='^$$' -fuzz=FuzzParseJSON -fuzztime=5s ./internal/graphio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=5s ./internal/cdg
 	$(GO) test -run='^$$' -fuzz=FuzzTurnEdges -fuzztime=5s ./internal/cdg
+	$(GO) test -run='^$$' -fuzz=FuzzBuildEdgeSet -fuzztime=5s ./internal/cdg
 
 # race is part of check so the worker pools are race-tested routinely;
 # obs-smoke keeps the -obs-json determinism contract honest; trace-smoke

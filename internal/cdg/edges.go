@@ -2,6 +2,7 @@ package cdg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -59,6 +60,94 @@ func (e *EdgeSet) AddEdge(from, to int) bool {
 	e.adj[from] = row
 	e.edges++
 	return true
+}
+
+// BuildEdgeSet builds the edge set over n nodes from a flat pair buffer
+// (sender, receiver, sender, receiver, ...) in one pass, the bulk twin
+// of repeated AddEdge calls: a counting sort by sender places every
+// receiver in one arena, and each row is sorted and deduplicated in
+// place and carved as arena[lo:hi:hi], so a later AddEdge reallocates
+// that row instead of writing into its neighbour. It returns the set,
+// holding each distinct edge once, and the index (pair number, counted
+// from 0) of the first pair that repeats an earlier one in buffer order,
+// or -1 when every pair is distinct — the edge a sequence of AddEdge
+// calls would first have reported as not new. Endpoints outside [0, n)
+// panic, as with AddEdge.
+//
+//ebda:hotpath
+func BuildEdgeSet(n int, pairs []int32) (*EdgeSet, int) {
+	n = max(n, 0)
+	m := len(pairs) / 2
+	// end[v+1] first counts row v's receivers; prefix sums make end[v]
+	// the start of row v, and placing the receivers advances it to the
+	// row's end.
+	end := make([]int, n+1)
+	for i := 0; i < 2*m; i += 2 {
+		from, to := pairs[i], pairs[i+1]
+		if uint(from) >= uint(n) || uint(to) >= uint(n) {
+			panicRange(int(from), int(to), n)
+		}
+		end[from+1]++
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	arena := make([]int32, m)
+	for i := 0; i < 2*m; i += 2 {
+		from := pairs[i]
+		arena[end[from]] = pairs[i+1]
+		end[from]++
+	}
+	e := &EdgeSet{adj: make([][]int32, n)}
+	repeats := false
+	lo := 0
+	for v := 0; v < n; v++ {
+		hi := end[v]
+		row := arena[lo:hi]
+		lo = hi
+		if len(row) == 0 {
+			continue
+		}
+		slices.Sort(row)
+		w := 1
+		for _, to := range row[1:] {
+			if to != row[w-1] {
+				row[w] = to
+				w++
+			}
+		}
+		repeats = repeats || w < len(row)
+		e.adj[v] = row[:w:w]
+		e.edges += w
+	}
+	if !repeats {
+		return e, -1
+	}
+	return e, firstRepeat(e, end, pairs[:2*m])
+}
+
+// firstRepeat finds the first pair of pairs that repeats an earlier one,
+// given the built set and the row ends of its arena: one seen bit per
+// arena slot, each edge claiming the slot of its first row position.
+func firstRepeat(e *EdgeSet, end []int, pairs []int32) int {
+	seen := make([]uint64, (len(pairs)/2+63)/64)
+	for i := 0; i < len(pairs); i += 2 {
+		from := pairs[i]
+		row := e.adj[from]
+		k, _ := slices.BinarySearch(row, pairs[i+1])
+		if from > 0 {
+			k += end[from-1]
+		}
+		if seen[k/64]&(1<<(k%64)) != 0 {
+			return i / 2
+		}
+		seen[k/64] |= 1 << (k % 64)
+	}
+	return -1
+}
+
+func panicRange(from, to, n int) {
+	panic(fmt.Sprintf("cdg: BuildEdgeSet edge (%d, %d) outside [0, %d)", from, to, n))
 }
 
 // HasEdge reports whether the directed edge exists.

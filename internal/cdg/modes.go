@@ -227,25 +227,60 @@ func VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, j
 // sweeps (every bfsCtxStride pops); a cancelled verification's partial
 // report must not be used.
 func verifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) (ModeReport, error) {
+	return newModeQuery(e, mode, inputs, outputs, escape).verify(ctx, jobs)
+}
+
+// ModeQuery is one mode verification with its id sets canonicalised and
+// its cache identity computed, once: a server hashes the graph for its
+// cache probe and, on a miss, hands the same query to
+// ModeCache.VerifyQueryCtx, which neither hashes nor canonicalises
+// again.
+type ModeQuery struct {
+	// Key and Check are ModeKey's dual hash of the question.
+	Key, Check uint64
+
+	e            *EdgeSet
+	mode         GraphMode
+	in, out, esc []int32
+}
+
+// NewModeQuery canonicalises the id sets (escape ids only for
+// ModeEscape, the one mode that reads them) and computes the key.
+func NewModeQuery(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) *ModeQuery {
+	q := newModeQuery(e, mode, inputs, outputs, escape)
+	q.Key, q.Check = q.key()
+	return q
+}
+
+// newModeQuery is NewModeQuery without the key, for the uncached
+// entry points.
+func newModeQuery(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) *ModeQuery {
 	n := len(e.adj)
-	in := canonSet(inputs, n, "input")
-	out := canonSet(outputs, n, "output")
-	esc := canonSet(escape, n, "escape")
-	isOut := markSet(n, out)
+	q := &ModeQuery{e: e, mode: mode, in: canonSet(inputs, n, "input"), out: canonSet(outputs, n, "output")}
+	if mode == ModeEscape {
+		q.esc = canonSet(escape, n, "escape")
+	}
+	return q
+}
+
+// verify runs the query's mode engine.
+func (q *ModeQuery) verify(ctx context.Context, jobs int) (ModeReport, error) {
+	e, mode := q.e, q.mode
+	isOut := markSet(len(e.adj), q.out)
 	obsModeVerify(mode)
 	msp := phaseMode.Start()
 	defer msp.End()
-	rep := ModeReport{Mode: mode, Nodes: n, Edges: e.edges}
+	rep := ModeReport{Mode: mode, Nodes: len(e.adj), Edges: e.edges}
 	var err error
 	switch mode {
 	case ModeLoop:
 		err = loopMode(ctx, e, jobs, &rep)
 	case ModeLiveness:
-		err = livenessMode(ctx, e, in, isOut, jobs, &rep)
+		err = livenessMode(ctx, e, q.in, isOut, jobs, &rep)
 	case ModeEscape:
-		err = escapeMode(ctx, e, out, esc, isOut, jobs, &rep)
+		err = escapeMode(ctx, e, q.out, q.esc, isOut, jobs, &rep)
 	case ModeSubrel:
-		err = subrelMode(ctx, e, out, isOut, jobs, &rep)
+		err = subrelMode(ctx, e, q.out, isOut, jobs, &rep)
 	default:
 		panic(fmt.Sprintf("cdg: VerifyMode with invalid mode %d", uint8(mode)))
 	}
@@ -372,16 +407,22 @@ func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool,
 	}
 	esc = kept
 	isEsc := markSet(n, esc)
-	// (1) induced escape subgraph acyclicity.
+	// (1) induced escape subgraph acyclicity, its rows carved from one
+	// arena sized for every escape channel's full row.
+	size := 0
+	for _, c := range esc {
+		size += len(e.adj[c])
+	}
+	arena := make([]int32, 0, size)
 	eadj := make([][]int32, n)
 	for _, c := range esc {
-		row := make([]int32, 0, len(e.adj[c]))
+		lo := len(arena)
 		for _, s := range e.adj[c] {
 			if isEsc[s] {
-				row = append(row, s)
+				arena = append(arena, s)
 			}
 		}
-		eadj[c] = row
+		eadj[c] = arena[lo:len(arena):len(arena)]
 	}
 	var st acyclicState
 	peeled, err := kahnPeelAdj(ctx, eadj, jobs, &st)
@@ -552,11 +593,27 @@ func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, jobs
 }
 
 // reverseAdj builds the reversed adjacency with absorbing outputs
-// (edges out of outputs are dropped). Predecessor rows come out
-// ascending because senders are visited ascending.
+// (edges out of outputs are dropped) in two passes over one arena:
+// count every channel's predecessors, then place them. Predecessor rows
+// come out ascending because senders are visited ascending.
+//
+//ebda:hotpath
 func reverseAdj(ctx context.Context, e *EdgeSet, isOut []bool) ([][]int32, error) {
 	n := len(e.adj)
-	rev := make([][]int32, n)
+	// end[v+1] first counts v's predecessors; prefix sums make end[v]
+	// the start of v's row, and placing advances it to the row's end.
+	end := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		if !isOut[i] {
+			for _, s := range e.adj[i] {
+				end[s+1]++
+			}
+		}
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	arena := make([]int32, end[n])
 	for i := 0; i < n; i++ {
 		if i%bfsCtxStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -567,7 +624,16 @@ func reverseAdj(ctx context.Context, e *EdgeSet, isOut []bool) ([][]int32, error
 			continue
 		}
 		for _, s := range e.adj[i] {
-			rev[s] = append(rev[s], int32(i))
+			arena[end[s]] = int32(i)
+			end[s]++
+		}
+	}
+	rev := make([][]int32, n)
+	lo := 0
+	for v := 0; v < n; v++ {
+		if hi := end[v]; hi > lo {
+			rev[v] = arena[lo:hi:hi]
+			lo = hi
 		}
 	}
 	return rev, nil
@@ -616,6 +682,11 @@ func toInts(v []int32) []int {
 // of the same graph — in particular, the four modes of one graph never
 // share keys (pinned by test).
 func ModeKey(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (key, check uint64) {
+	return newModeQuery(e, mode, inputs, outputs, escape).key()
+}
+
+// key computes ModeKey from the canonical sets.
+func (q *ModeQuery) key() (key, check uint64) {
 	const (
 		modeKeySeedA = 0x71c9d37af3b26d61
 		modeKeySeedB = 0x4cf5ad432745937f
@@ -623,14 +694,12 @@ func ModeKey(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (key, ch
 		outSeed      = 0xc3a5c85c97cb3127
 		escSeed      = 0xb492b66fbe98f273
 	)
-	n := len(e.adj)
-	f1, f2 := e.Fingerprint()
-	s1 := setDigest(canonSet(inputs, n, "input"), inSeed) +
-		setDigest(canonSet(outputs, n, "output"), outSeed)
-	if mode == ModeEscape {
-		s1 += setDigest(canonSet(escape, n, "escape"), escSeed)
+	f1, f2 := q.e.Fingerprint()
+	s1 := setDigest(q.in, inSeed) + setDigest(q.out, outSeed)
+	if q.mode == ModeEscape {
+		s1 += setDigest(q.esc, escSeed)
 	}
-	m := uint64(mode) * 0x9e3779b97f4a7c15
+	m := uint64(q.mode) * 0x9e3779b97f4a7c15
 	key = mix64(f1 ^ modeKeySeedA ^ m ^ s1)
 	check = mix64(f2*0x100000001b3 + modeKeySeedB + m + mix64(s1))
 	return key, check
@@ -665,9 +734,14 @@ func (c *ModeCache) VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, 
 // VerifyModeCtx is VerifyModeJobs under a context: a cancelled
 // verification returns ctx's error and is never cached.
 func (c *ModeCache) VerifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) (ModeReport, error) {
-	key, check := ModeKey(e, mode, inputs, outputs, escape)
-	return c.Do(ctx, key, check, func(ctx context.Context) (ModeReport, error) {
-		return verifyModeCtx(ctx, e, mode, inputs, outputs, escape, jobs)
+	return c.VerifyQueryCtx(ctx, NewModeQuery(e, mode, inputs, outputs, escape), jobs)
+}
+
+// VerifyQueryCtx is VerifyModeCtx for a query built once: the memoized
+// verdict under q's key, computed and cached on a miss.
+func (c *ModeCache) VerifyQueryCtx(ctx context.Context, q *ModeQuery, jobs int) (ModeReport, error) {
+	return c.Do(ctx, q.Key, q.Check, func(ctx context.Context) (ModeReport, error) {
+		return q.verify(ctx, jobs)
 	})
 }
 

@@ -395,7 +395,39 @@ func refParseJSON(data []byte) (*Graph, error) {
 		}
 		edges[i] = [2]int{e[0], e[1]}
 	}
-	return New(jg.Channels, jg.Inputs, jg.Outputs, edges)
+	return refNew(jg.Channels, jg.Inputs, jg.Outputs, edges)
+}
+
+// refNew is the New that inserted edge by edge through EdgeSet.AddEdge,
+// kept so the references exercise a builder independent of
+// cdg.BuildEdgeSet.
+func refNew(channels int, inputs, outputs []int, edges [][2]int) (*Graph, error) {
+	g, err := newGraph(Limits{}, channels, inputs, outputs)
+	if err != nil {
+		return nil, err
+	}
+	g.Edges = cdg.NewEdgeSet(channels)
+	for _, e := range edges {
+		if err := refAddEdge(g.Edges, 0, e[0], e[1]); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// refAddEdge validates one edge and inserts it.
+func refAddEdge(e *cdg.EdgeSet, line, from, to int) error {
+	n := e.NumNodes()
+	if from < 0 || from >= n {
+		return perr(line, ErrIDRange, "sender channel %d outside [0, %d)", from, n)
+	}
+	if to < 0 || to >= n {
+		return perr(line, ErrIDRange, "receiver channel %d outside [0, %d)", to, n)
+	}
+	if !e.AddEdge(from, to) {
+		return perr(line, ErrDuplicateEdge, "%d -> %d declared twice", from, to)
+	}
+	return nil
 }
 
 // refParseCDG is the strings.Split text parser ParseCDG replaced, kept
@@ -468,7 +500,7 @@ func refParseCDG(data []byte) (*Graph, error) {
 			return nil, perr(no, ErrSyntax, "edge line needs a sender and at least one receiver")
 		}
 		for _, to := range ids[1:] {
-			if err := addEdge(g.Edges, no, ids[0], to); err != nil {
+			if err := refAddEdge(g.Edges, no, ids[0], to); err != nil {
 				return nil, err
 			}
 		}
@@ -602,6 +634,7 @@ func FuzzParseCDG(f *testing.F) {
 	f.Add([]byte("\u00a0# nbsp comment\r\n+3\r\n00 \u20281\r\n2\n\n0\t+2 \u3000\n\v1 2\f\n"))
 	f.Add([]byte("3\n-0\n2\n0 1 x\n"))
 	f.Add([]byte("3\n0\n2\n9223372036854775808 1\n"))
+	f.Add([]byte("1\n00\n0")) // ends inside the output line
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ParseCDG(data)
 		rg, rerr := refParseCDG(data)

@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"strconv"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -17,18 +18,20 @@ type Spec struct {
 }
 
 // DecodeJSON decodes a JSON graph document without validating it: the
-// syntax half of ParseJSON, for callers that embed the graph in a larger
-// request and validate it later. Every error wraps ErrSyntax.
+// syntax half of ParseJSON, for wire types that unmarshal a graph and
+// validate it later. Every error wraps ErrSyntax.
 func DecodeJSON(data []byte) (Spec, error) {
 	d, err := scanJSON(data)
 	if err != nil {
 		return Spec{}, err
 	}
 	sp := Spec{Channels: d.channels, Inputs: d.inputs, Outputs: d.outputs}
-	_ = d.eachEdge(func(from, to int) error { // never fails: fn returns nil
-		sp.Edges = append(sp.Edges, [2]int{from, to})
-		return nil
-	})
+	for i := 0; i < len(d.pairs); i += 2 {
+		sp.Edges = append(sp.Edges, [2]int{int(d.pairs[i]), int(d.pairs[i+1])})
+	}
+	for _, t := range d.tuples {
+		sp.Edges = append(sp.Edges, [2]int{t[0], t[1]})
+	}
 	return sp, nil
 }
 
@@ -39,57 +42,80 @@ func ParseJSON(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := newGraph(d.channels, d.inputs, d.outputs)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.eachEdge(func(from, to int) error { return addEdge(g.Edges, 0, from, to) }); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return d.Build(Limits{})
 }
 
-// jsonDoc is a scanned document. The edges live in pairs while every
+// JSONDoc is a scanned JSON graph: syntactically valid, nothing checked
+// yet against its channel count. The edges live in pairs while every
 // "edges" array decoded so far was a fresh list of exact pairs of small
 // ids, the common case; otherwise in tuples, shaped the way
 // encoding/json leaves a [][]int so that repeated keys decode over it
 // the same way. At most one of the two is non-empty.
-type jsonDoc struct {
+type JSONDoc struct {
 	channels        int
 	inputs, outputs []int
 	pairs           []int32 // sender, receiver, sender, receiver, ...
 	tuples          [][]int
 }
 
-// eachEdge calls fn on every edge in document order, stopping at the
-// first error.
-func (d *jsonDoc) eachEdge(fn func(from, to int) error) error {
-	for i := 0; i < len(d.pairs); i += 2 {
-		if err := fn(int(d.pairs[i]), int(d.pairs[i+1])); err != nil {
-			return err
+// Build validates the document into a Graph under the limits l, with
+// ParseJSON's error precedence after syntax: the channel count, its
+// limit, the input set, the output set, the edge limit, then the first
+// bad edge in document order. The pair buffer goes to
+// cdg.BuildEdgeSet as it is.
+//
+//ebda:hotpath
+func (d *JSONDoc) Build(l Limits) (*Graph, error) {
+	g, err := newGraph(l, d.channels, d.inputs, d.outputs)
+	if err != nil {
+		return nil, err
+	}
+	if l.edgesOver(len(d.pairs)/2 + len(d.tuples)) {
+		return nil, l.edgeErr(0)
+	}
+	b := edgeBuf{channels: d.channels, pairs: d.pairs}
+	// Pair ids are unsigned, so only the upper bound can fail.
+	for i := 0; i < len(b.pairs); i += 2 {
+		if int(b.pairs[i]) >= b.channels || int(b.pairs[i+1]) >= b.channels {
+			b.err = rangeErr(0, int(b.pairs[i]), int(b.pairs[i+1]), b.channels)
+			b.pairs = b.pairs[:i]
+			break
 		}
 	}
-	for _, t := range d.tuples {
-		if err := fn(t[0], t[1]); err != nil {
-			return err
+	if len(d.tuples) > 0 {
+		b.pairs = make([]int32, 0, 2*len(d.tuples))
+		for _, t := range d.tuples {
+			if !b.add(0, t[0], t[1]) {
+				break
+			}
 		}
 	}
-	return nil
+	if g.Edges, err = b.build(nil); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// jsonScanner is a cursor over one JSON document.
-type jsonScanner struct {
+// Scanner reads JSON with the grammar the graph decoder uses, for
+// decoders of documents that embed a graph — a request envelope around
+// a "graph" value — so that the graph is scanned once, straight into
+// its pair buffer. Values decode the way encoding/json decodes them
+// into Go values of the matching type; every error wraps ErrSyntax.
+type Scanner struct {
 	data []byte
 	pos  int
 }
 
-func (s *jsonScanner) fail(what string) error {
+// NewScanner returns a scanner at the start of data.
+func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
+
+func (s *Scanner) fail(what string) error {
 	return perr(0, ErrSyntax, "offset %d: %s", s.pos, what)
 }
 
 // peek skips JSON whitespace and returns the next byte, or 0 at the end
 // of the input (a literal NUL is no more valid there than the end).
-func (s *jsonScanner) peek() byte {
+func (s *Scanner) peek() byte {
 	if s.pos = skipWS(s.data, s.pos); s.pos < len(s.data) {
 		return s.data[s.pos]
 	}
@@ -110,7 +136,7 @@ func skipWS(b []byte, i int) int {
 }
 
 // consume skips whitespace and then c, reporting whether c was next.
-func (s *jsonScanner) consume(c byte) bool {
+func (s *Scanner) consume(c byte) bool {
 	if s.peek() != c {
 		return false
 	}
@@ -118,9 +144,17 @@ func (s *jsonScanner) consume(c byte) bool {
 	return true
 }
 
-// null skips whitespace and then a null literal, reporting whether one
+// End checks that only whitespace is left.
+func (s *Scanner) End() error {
+	if s.peek(); s.pos < len(s.data) {
+		return s.fail("trailing data after JSON document")
+	}
+	return nil
+}
+
+// Null skips whitespace and then a null literal, reporting whether one
 // was next.
-func (s *jsonScanner) null() bool {
+func (s *Scanner) Null() bool {
 	if s.peek() != 'n' || !bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
 		return false
 	}
@@ -130,7 +164,7 @@ func (s *jsonScanner) null() bool {
 
 // integer skips whitespace and reads an integer literal. A number with a
 // fraction or exponent, a leading zero or an overflow is not one.
-func (s *jsonScanner) integer() (int, bool) {
+func (s *Scanner) integer() (int, bool) {
 	if c := s.peek(); c != '-' && (c < '0' || c > '9') {
 		return 0, false
 	}
@@ -156,7 +190,7 @@ func (s *jsonScanner) integer() (int, bool) {
 	return v, true
 }
 
-// The document's keys, in the order jsonKeys lists them.
+// The graph document's keys, in the order jsonKeys lists them.
 const (
 	keyChannels = iota
 	keyInputs
@@ -164,25 +198,31 @@ const (
 	keyEdges
 )
 
-var jsonKeys = [...][]byte{[]byte("channels"), []byte("inputs"), []byte("outputs"), []byte("edges")}
+var jsonKeys = [][]byte{[]byte("channels"), []byte("inputs"), []byte("outputs"), []byte("edges")}
 
-// key reads an object key and returns its index in jsonKeys.
-func (s *jsonScanner) key() (int, error) {
+// String reads a JSON string and returns its value as encoding/json
+// decodes it into a string: escapes resolved, a valid surrogate pair
+// combined, a lone surrogate or an invalid UTF-8 byte replaced by
+// U+FFFD. A string with no escape and valid UTF-8 is returned as a
+// subslice of the input; any other is decoded once into a new buffer.
+//
+//ebda:hotpath
+func (s *Scanner) String() ([]byte, error) {
 	if s.peek() != '"' {
-		return 0, s.fail("expected a string key")
+		return nil, s.fail("expected a string")
 	}
 	s.pos++
 	start, escaped := s.pos, false
 	for {
 		if s.pos >= len(s.data) {
-			return 0, s.fail("unterminated string")
+			return nil, s.fail("unterminated string")
 		}
 		c := s.data[s.pos]
 		if c == '"' {
 			break
 		}
 		if c < 0x20 {
-			return 0, s.fail("control character in string")
+			return nil, s.fail("control character in string")
 		}
 		s.pos++
 		if c != '\\' {
@@ -190,26 +230,38 @@ func (s *jsonScanner) key() (int, error) {
 		}
 		escaped = true
 		if s.pos >= len(s.data) {
-			return 0, s.fail("unterminated string")
+			return nil, s.fail("unterminated string")
 		}
 		switch s.data[s.pos] {
 		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
 			s.pos++
 		case 'u':
 			if _, ok := hex4(s.data[s.pos+1:]); !ok {
-				return 0, s.fail("bad \\u escape")
+				return nil, s.fail("bad \\u escape")
 			}
 			s.pos += 5
 		default:
-			return 0, s.fail("bad escape")
+			return nil, s.fail("bad escape")
 		}
 	}
-	name := s.data[start:s.pos]
+	raw := s.data[start:s.pos]
 	s.pos++
-	if escaped {
-		name = unescape(name)
+	if !escaped && utf8.Valid(raw) {
+		return raw, nil
 	}
-	for i, k := range jsonKeys {
+	return unquote(raw), nil
+}
+
+// key reads an object key and returns its index in keys.
+func (s *Scanner) key(keys [][]byte) (int, error) {
+	if s.peek() != '"' {
+		return 0, s.fail("expected a string key")
+	}
+	name, err := s.String()
+	if err != nil {
+		return 0, err
+	}
+	for i, k := range keys {
 		if bytes.EqualFold(name, k) {
 			return i, nil
 		}
@@ -239,66 +291,77 @@ func hex4(b []byte) (rune, bool) {
 	return r, true
 }
 
-// unescape decodes the escapes of a validated string body. Every
-// surrogate escape becomes U+FFFD, where encoding/json combines a valid
-// pair into one rune; no rune of either kind folds to an ASCII letter,
-// so which keys match is the same.
-func unescape(b []byte) []byte {
-	out := make([]byte, 0, len(b))
-	for i := 0; i < len(b); i++ {
+// unquote decodes the body of a validated string the way encoding/json
+// does.
+func unquote(b []byte) []byte {
+	out := make([]byte, 0, len(b)+utf8.UTFMax)
+	for i := 0; i < len(b); {
 		c := b[i]
-		if c != '\\' {
-			out = append(out, c)
-			continue
-		}
-		i++
-		switch b[i] {
-		case 'b':
-			out = append(out, '\b')
-		case 'f':
-			out = append(out, '\f')
-		case 'n':
-			out = append(out, '\n')
-		case 'r':
-			out = append(out, '\r')
-		case 't':
-			out = append(out, '\t')
-		case 'u':
-			r, _ := hex4(b[i+1:])
-			if 0xD800 <= r && r < 0xE000 {
-				r = utf8.RuneError
+		switch {
+		case c == '\\':
+			i++
+			switch c = b[i]; c {
+			case 'b':
+				c = '\b'
+			case 'f':
+				c = '\f'
+			case 'n':
+				c = '\n'
+			case 'r':
+				c = '\r'
+			case 't':
+				c = '\t'
+			case 'u':
+				r, _ := hex4(b[i+1:])
+				i += 5
+				if utf16.IsSurrogate(r) {
+					r2 := rune(-1)
+					if i+1 < len(b) && b[i] == '\\' && b[i+1] == 'u' {
+						r2, _ = hex4(b[i+2:])
+					}
+					if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
+						i += 6
+					}
+				}
+				out = utf8.AppendRune(out, r)
+				continue
 			}
+			out = append(out, c) // and '"', '\\', '/' as they are
+			i++
+		case c < utf8.RuneSelf:
+			out = append(out, c)
+			i++
+		default:
+			r, w := utf8.DecodeRune(b[i:])
 			out = utf8.AppendRune(out, r)
-			i += 4
-		default: // '"', '\\', '/'
-			out = append(out, b[i])
+			i += w
 		}
 	}
 	return out
 }
 
-// scanJSON reads the whole document; any error it returns is ErrSyntax.
-func scanJSON(data []byte) (*jsonDoc, error) {
-	s := &jsonScanner{data: data}
-	d := &jsonDoc{}
-	if !s.null() {
-		if err := s.object(d); err != nil {
+// scanJSON reads a whole graph document, an object or a bare null; any
+// error it returns is ErrSyntax.
+func scanJSON(data []byte) (*JSONDoc, error) {
+	s := Scanner{data: data}
+	d := &JSONDoc{}
+	if !s.Null() {
+		var err error
+		if d, err = s.Graph(); err != nil {
 			return nil, err
 		}
 	}
-	if s.peek(); s.pos < len(data) {
-		return nil, s.fail("trailing data after JSON document")
-	}
-	for _, t := range d.tuples {
-		if len(t) != 2 {
-			return nil, s.fail("an edge is not a [sender, receiver] pair")
-		}
+	if err := s.End(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
-// object reads the top-level object into d.
-func (s *jsonScanner) object(d *jsonDoc) error {
+// Object reads a JSON object whose keys must each match one of keys,
+// case-insensitively after unescaping as encoding/json matches field
+// names. For every member it calls field with the key's index, the
+// scanner standing before the value, which field must consume.
+func (s *Scanner) Object(keys [][]byte, field func(k int) error) error {
 	if !s.consume('{') {
 		return s.fail("expected an object")
 	}
@@ -306,24 +369,14 @@ func (s *jsonScanner) object(d *jsonDoc) error {
 		return nil
 	}
 	for {
-		k, err := s.key()
+		k, err := s.key(keys)
 		if err != nil {
 			return err
 		}
 		if !s.consume(':') {
 			return s.fail("expected ':'")
 		}
-		switch k {
-		case keyChannels:
-			d.channels, err = s.intElem(d.channels)
-		case keyInputs:
-			d.inputs, err = array(s, d.inputs, s.intElem)
-		case keyOutputs:
-			d.outputs, err = array(s, d.outputs, s.intElem)
-		case keyEdges:
-			err = s.edges(d)
-		}
-		if err != nil {
+		if err := field(k); err != nil {
 			return err
 		}
 		if s.consume(',') {
@@ -336,9 +389,37 @@ func (s *jsonScanner) object(d *jsonDoc) error {
 	}
 }
 
+// Graph reads a graph object — not null, which an embedding decoder
+// gives its own meaning — with the package comment's grammar.
+func (s *Scanner) Graph() (*JSONDoc, error) {
+	d := &JSONDoc{}
+	err := s.Object(jsonKeys, func(k int) (err error) {
+		switch k {
+		case keyChannels:
+			d.channels, err = s.intElem(d.channels)
+		case keyInputs:
+			d.inputs, err = s.Ints(d.inputs)
+		case keyOutputs:
+			d.outputs, err = s.Ints(d.outputs)
+		case keyEdges:
+			err = s.edges(d)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range d.tuples {
+		if len(t) != 2 {
+			return nil, s.fail("an edge is not a [sender, receiver] pair")
+		}
+	}
+	return d, nil
+}
+
 // intElem reads an integer or null into a slot holding v; null keeps v.
-func (s *jsonScanner) intElem(v int) (int, error) {
-	if s.null() {
+func (s *Scanner) intElem(v int) (int, error) {
+	if s.Null() {
 		return v, nil
 	}
 	n, ok := s.integer()
@@ -348,13 +429,17 @@ func (s *jsonScanner) intElem(v int) (int, error) {
 	return n, nil
 }
 
+// Ints reads an array of integers or null into dst, as encoding/json
+// decodes into an []int field that already holds dst (see array).
+func (s *Scanner) Ints(dst []int) ([]int, error) { return array(s, dst, s.intElem) }
+
 // array reads a JSON array or null into dst the way encoding/json
 // decodes into a slice field that already holds dst: null yields nil;
 // an array is decoded over dst element by element, growing it with
 // append and, within its capacity, re-exposing the elements a shorter
 // earlier decode left behind, then truncated to the array's length.
-func array[T any](s *jsonScanner, dst []T, elem func(T) (T, error)) ([]T, error) {
-	if s.null() {
+func array[T any](s *Scanner, dst []T, elem func(T) (T, error)) ([]T, error) {
+	if s.Null() {
 		return nil, nil
 	}
 	if !s.consume('[') {
@@ -395,7 +480,7 @@ func array[T any](s *jsonScanner, dst []T, elem func(T) (T, error)) ([]T, error)
 // the earlier value (if any) left nothing to decode over, else — and
 // whenever the fast path declines the array — through the general
 // tuples path.
-func (s *jsonScanner) edges(d *jsonDoc) error {
+func (s *Scanner) edges(d *JSONDoc) error {
 	if len(d.pairs) > 0 {
 		// A repeated key: turn the pairs into the [][]int encoding/json
 		// would hold, built element by element so the capacities match.
@@ -412,7 +497,7 @@ func (s *jsonScanner) edges(d *jsonDoc) error {
 		s.pos, d.pairs = start, d.pairs[:0]
 	}
 	var err error
-	d.tuples, err = array(s, d.tuples, func(t []int) ([]int, error) { return array(s, t, s.intElem) })
+	d.tuples, err = array(s, d.tuples, s.Ints)
 	return err
 }
 
@@ -421,7 +506,9 @@ func (s *jsonScanner) edges(d *jsonDoc) error {
 // digits. It reports false, having consumed an unspecified prefix, on
 // anything else — a null, a sign, a longer number, a non-pair — which
 // the general path then decodes or rejects.
-func (s *jsonScanner) pairs(d *jsonDoc) bool {
+//
+//ebda:hotpath
+func (s *Scanner) pairs(d *JSONDoc) bool {
 	b := s.data
 	i := skipWS(b, s.pos)
 	if i == len(b) || b[i] != '[' {
@@ -467,6 +554,8 @@ func (s *jsonScanner) pairs(d *jsonDoc) bool {
 
 // smallID reads an unsigned integer literal of one to nine digits at
 // b[i:] and returns it with the index just past it.
+//
+//ebda:hotpath
 func smallID(b []byte, i int) (int32, int, bool) {
 	start := i
 	var v int32

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"unicode"
 	"unicode/utf8"
-
-	"ebda/internal/cdg"
 )
 
 // textScanner is a cursor over constellation text: it hands out lines
@@ -109,7 +107,14 @@ func skipSpace(b []byte, i int) int {
 }
 
 // ParseCDG parses the constellation text format.
-func ParseCDG(data []byte) (*Graph, error) {
+func ParseCDG(data []byte) (*Graph, error) { return Limits{}.ParseCDG(data) }
+
+// ParseCDG is the package ParseCDG under the limits l: the channel count
+// is checked as soon as it is read, and edge collection stops once it
+// passes the edge limit.
+//
+//ebda:hotpath
+func (l Limits) ParseCDG(data []byte) (*Graph, error) {
 	s := textScanner{data: data}
 	ln, ok := s.significant(true)
 	if !ok {
@@ -120,7 +125,10 @@ func ParseCDG(data []byte) (*Graph, error) {
 		return nil, perr(s.line, ErrChannelCount, "%q is not a count in [0, %d]", bytes.TrimSpace(ln), MaxChannels)
 	}
 	channels := ids[0]
-	g := &Graph{Edges: cdg.NewEdgeSet(channels)}
+	if err := l.checkChannels(s.line, channels); err != nil {
+		return nil, err
+	}
+	g := &Graph{}
 
 	// The input and output lines directly follow the count; a blank line
 	// here means the empty set.
@@ -141,24 +149,52 @@ func ParseCDG(data []byte) (*Graph, error) {
 		}
 	}
 
-	for {
+	// Room for one edge per space: every receiver follows one in the
+	// canonical export; other separators grow the buffer by append.
+	room := 2 * bytes.Count(data[min(s.pos, len(data)):], []byte{' '})
+	if l.Edges > 0 {
+		room = min(room, 2*(l.Edges+1))
+	}
+	b := edgeBuf{channels: channels, pairs: make([]int32, 0, room)}
+	edges := s // the scanner at the first edge line, for lineOf
+	for b.err == nil {
 		ln, ok := s.significant(true)
 		if !ok {
-			return g, nil
+			break
 		}
 		ids, err := s.fields(ln)
-		if err != nil {
-			return nil, err
-		}
-		if len(ids) < 2 {
-			return nil, perr(s.line, ErrSyntax, "edge line needs a sender and at least one receiver")
-		}
-		for _, to := range ids[1:] {
-			if err := addEdge(g.Edges, s.line, ids[0], to); err != nil {
-				return nil, err
+		switch {
+		case err != nil:
+			b.err = err
+		case len(ids) < 2:
+			b.err = perr(s.line, ErrSyntax, "edge line needs a sender and at least one receiver")
+		default:
+			for _, to := range ids[1:] {
+				if !b.add(s.line, ids[0], to) {
+					break
+				}
+			}
+			if b.err == nil && l.edgesOver(len(b.pairs)/2) {
+				b.err = l.edgeErr(s.line)
 			}
 		}
 	}
+	// lineOf finds the line of the i-th collected edge by scanning the
+	// edge lines again; only a duplicate edge's error needs it.
+	lineOf := func(i int) int {
+		for {
+			ln, _ := edges.significant(true)
+			ids, _ := edges.fields(ln)
+			if i < len(ids)-1 {
+				return edges.line
+			}
+			i -= len(ids) - 1
+		}
+	}
+	if g.Edges, err = b.build(lineOf); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // ExportCDG renders the graph in the canonical constellation text form:

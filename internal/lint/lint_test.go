@@ -60,9 +60,11 @@ func TestSuiteCleanOnEngine(t *testing.T) {
 // stays annotated: losing a directive silently un-guards the function.
 func TestHotpathAnnotationsPresent(t *testing.T) {
 	want := map[string][]string{
-		"internal/cdg":  {"VerifyTurnSetJobs", "kahnPeel", "AddEdges", "NewGraph", "addTurnEdges", "kindMasks", "fillTurnRows", "keepPermitted", "mergeSorted", "insertSorted"},
-		"internal/core": {"Matrix"},
-		"internal/sim":  {"allocate", "tryAllocate", "traverse", "collectRequests", "popFront"},
+		"internal/cdg":     {"VerifyTurnSetJobs", "kahnPeel", "AddEdges", "NewGraph", "addTurnEdges", "kindMasks", "fillTurnRows", "keepPermitted", "mergeSorted", "insertSorted", "BuildEdgeSet", "reverseAdj"},
+		"internal/core":    {"Matrix"},
+		"internal/sim":     {"allocate", "tryAllocate", "traverse", "collectRequests", "popFront"},
+		"internal/graphio": {"Build", "String", "pairs", "smallID", "ParseCDG"},
+		"internal/serve":   {"decodeGraphRequest"},
 	}
 	for rel, names := range want {
 		pkg := loadRepoPackage(t, rel)

@@ -117,10 +117,11 @@ func BuildLockGraph(pkgs ...*Package) *LockGraph {
 
 // EdgeSet reduces the graph to the engine's abstract form.
 func (lg *LockGraph) EdgeSet() *cdg.EdgeSet {
-	es := cdg.NewEdgeSet(len(lg.Nodes))
+	pairs := make([]int32, 0, 2*len(lg.Edges))
 	for _, e := range lg.Edges {
-		es.AddEdge(e.From, e.To)
+		pairs = append(pairs, int32(e.From), int32(e.To))
 	}
+	es, _ := cdg.BuildEdgeSet(len(lg.Nodes), pairs)
 	return es
 }
 

@@ -24,9 +24,9 @@ const cdgPath = "ebda/internal/cdg"
 // router forwards served verdicts, so it carries the same contract) are
 // held to a stricter rule: every verdict they hand a client must flow
 // through a verdict cache — Cache.Lookup under the kind's dual-hash
-// identity (cdg.VerifyKey, DeltaKey or ModeKey) plus the VerifyCache or
-// ModeCache computing entry point — so responses are memoized,
-// coalescible and identical across requests. In those packages the
+// identity (cdg.VerifyKey, DeltaKey, ModeKey or a ModeQuery's key) plus
+// the VerifyCache or ModeCache computing entry point — so responses are
+// memoized, coalescible and identical across requests. In those packages the
 // uncached pooled entry points (cdg.VerifyTurnSet / VerifyTurnSetJobs /
 // VerifyTurnSetCtx, VerifyChain, VerifyRelation, BuildFromTurnSet,
 // VerifyMode / VerifyModeJobs and the Workspace verify methods) are also

@@ -223,7 +223,10 @@ func decodeStrict(r io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad JSON: %w", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow the object: Token reports io.EOF then,
+	// and anything else (including a stray '}' or ']', which More
+	// passes over) otherwise.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("bad JSON: trailing data after request object")
 	}
 	return nil

@@ -31,7 +31,9 @@ const (
 )
 
 // GraphSpec is the inline structured encoding of an annotated CDG,
-// field-for-field the graphio JSON variant.
+// field-for-field the graphio JSON variant. It is a wire type for
+// clients: the server scans request bodies itself (decodeGraphRequest)
+// and never decodes into it.
 type GraphSpec struct {
 	Channels int      `json:"channels"`
 	Inputs   []int    `json:"inputs"`
@@ -39,8 +41,8 @@ type GraphSpec struct {
 	Edges    [][2]int `json:"edges"`
 }
 
-// UnmarshalJSON decodes the graph through graphio's JSON scanner, so the
-// endpoint accepts exactly the documents graphio.ParseJSON does — every
+// UnmarshalJSON decodes the graph through graphio's JSON scanner, so a
+// GraphSpec accepts exactly the documents graphio.ParseJSON does — every
 // edge an exact [sender, receiver] pair included.
 func (s *GraphSpec) UnmarshalJSON(data []byte) error {
 	sp, err := graphio.DecodeJSON(data)
@@ -85,44 +87,96 @@ type builtGraph struct {
 	escape []int
 }
 
-// build validates the request and parses the graph. Like
-// VerifyRequest.build it returns client errors only — everything here
-// maps to a 400.
-func (req *GraphVerifyRequest) build() (*builtGraph, error) {
-	mode, err := cdg.ParseGraphMode(req.Mode)
+// GraphVerifyRequest's JSON field names, in the order of the req*
+// constants.
+var graphRequestKeys = [][]byte{[]byte("graph"), []byte("cdg"), []byte("mode"), []byte("escape")}
+
+const (
+	reqGraph = iota
+	reqCDG
+	reqMode
+	reqEscape
+)
+
+// graphLimits bounds every submitted graph while it is parsed, so an
+// over-limit graph is refused before rows are built for it.
+var graphLimits = graphio.Limits{Channels: maxGraphChannels, Edges: maxGraphEdges}
+
+// decodeGraphRequest scans a /v1/verify/graph body in one pass: the
+// envelope with graphio's scanner, the structured graph straight into
+// its pair buffer, the text form unescaped once and handed to the text
+// parser. It reads the body as decodeStrict reads a GraphVerifyRequest
+// — unknown fields rejected, field names matched case-insensitively,
+// the last of repeated keys winning, "graph": null meaning no graph,
+// nothing but whitespace after the object — and validates it as the
+// request's build step did. Every error is the client's (a 400).
+//
+//ebda:hotpath
+func decodeGraphRequest(body []byte) (*builtGraph, error) {
+	sc := graphio.NewScanner(body)
+	var (
+		doc        *graphio.JSONDoc
+		text, mode []byte
+		escape     []int
+	)
+	err := sc.Object(graphRequestKeys, func(k int) (err error) {
+		switch k {
+		case reqGraph:
+			doc = nil
+			if !sc.Null() {
+				doc, err = sc.Graph()
+			}
+		case reqCDG:
+			if !sc.Null() {
+				text, err = sc.String()
+			}
+		case reqMode:
+			if !sc.Null() {
+				mode, err = sc.String()
+			}
+		case reqEscape:
+			escape, err = sc.Ints(escape)
+		}
+		return err
+	})
+	if err == nil {
+		err = sc.End()
+	}
+	if err != nil {
+		return nil, badJSON(err)
+	}
+	m, err := cdg.ParseGraphMode(string(mode))
 	if err != nil {
 		return nil, err
 	}
 	var g *graphio.Graph
 	switch {
-	case req.Graph != nil && req.CDG != "":
+	case doc != nil && len(text) > 0:
 		return nil, errors.New("use either graph or cdg, not both")
-	case req.Graph != nil:
-		g, err = graphio.New(req.Graph.Channels, req.Graph.Inputs, req.Graph.Outputs, req.Graph.Edges)
-	case req.CDG != "":
-		g, err = graphio.ParseCDG([]byte(req.CDG))
+	case doc != nil:
+		g, err = doc.Build(graphLimits)
+	case len(text) > 0:
+		g, err = graphLimits.ParseCDG(text)
 	default:
 		return nil, errors.New("one of graph or cdg is required")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if n := g.Edges.NumNodes(); n > maxGraphChannels {
-		return nil, fmt.Errorf("graph has %d channels, limit %d", n, maxGraphChannels)
-	}
-	if n := g.Edges.NumEdges(); n > maxGraphEdges {
-		return nil, fmt.Errorf("graph has %d edges, limit %d", n, maxGraphEdges)
-	}
-	if mode == cdg.ModeEscape && len(req.Escape) == 0 {
+	if m == cdg.ModeEscape && len(escape) == 0 {
 		return nil, errors.New("mode escape requires a non-empty escape set")
 	}
-	for _, v := range req.Escape {
+	for _, v := range escape {
 		if v < 0 || v >= g.Edges.NumNodes() {
-			return nil, fmt.Errorf("escape channel %d outside [0, %d)", v, g.Edges.NumNodes())
+			return nil, escapeRangeErr(v, g.Edges.NumNodes())
 		}
 	}
-	return &builtGraph{g: g, mode: mode, escape: req.Escape}, nil
+	return &builtGraph{g: g, mode: m, escape: escape}, nil
 }
+
+func badJSON(err error) error { return fmt.Errorf("bad JSON: %w", err) }
+
+func escapeRangeErr(v, n int) error { return fmt.Errorf("escape channel %d outside [0, %d)", v, n) }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	obsReqGraph.Inc()
@@ -135,23 +189,25 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req GraphVerifyRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), &req); err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
-	}
-	b, err := req.build()
+	body, err := readBody(w, r)
 	if err != nil {
 		obsRejectBad.Inc()
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	key, check := cdg.ModeKey(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape)
+	b, err := decodeGraphRequest(body)
+	if err != nil {
+		obsRejectBad.Inc()
+		writeError(w, http.StatusBadRequest, sanitizeErr(err))
+		return
+	}
+	// One query: the graph is hashed and its id sets canonicalised once,
+	// for the cache probe and, on a miss, for the engine.
+	q := cdg.NewModeQuery(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape)
 	k := verdictKind[cdg.ModeReport]{
-		key: key, check: check, cache: &s.modes.Cache, flight: s.gflight, leader: provComputed,
+		key: q.Key, check: q.Check, cache: &s.modes.Cache, flight: s.gflight, leader: provComputed,
 		compute: func(ctx context.Context) (cdg.ModeReport, error) {
-			return s.modes.VerifyModeCtx(ctx, b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape, s.cfg.Jobs)
+			return s.modes.VerifyQueryCtx(ctx, q, s.cfg.Jobs)
 		},
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
@@ -169,7 +225,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		OK:         rep.OK,
 		Reason:     rep.Reason,
 		Provenance: prov,
-		Key:        strconv.FormatUint(key, 16),
+		Key:        strconv.FormatUint(q.Key, 16),
 	}
 	if len(rep.Path) > 0 {
 		resp.Path = cdg.FormatNodeChain(rep.Path)

@@ -172,6 +172,9 @@ func TestGraphBadRequests(t *testing.T) {
 		{"escape without set", graphBody("escape", "")},
 		{"escape out of range", graphBody("escape", `,"escape":[99]`)},
 		{"channels over limit", huge},
+		{"channels far over limit", `{"graph":{"channels":1048576},"mode":"loop"}`},
+		{"text channels far over limit", `{"cdg":"1048576\n0\n0\n","mode":"loop"}`},
+		{"trailing brace", `{"cdg":"2\n0\n1\n0 1\n","mode":"loop"}}`},
 		{"cdg parse error", `{"cdg":"2\n9\n\n","mode":"loop"}`},
 		{"edge out of range", `{"graph":{"channels":2,"inputs":[],"outputs":[],"edges":[[0,7]]},"mode":"loop"}`},
 		{"trailing garbage", graphBody("loop", "") + `{}`},

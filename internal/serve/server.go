@@ -401,6 +401,30 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// readBody reads a request body of at most MaxBodyBytes, into a buffer
+// sized from Content-Length when the client sent one.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if r.ContentLength <= 0 || r.ContentLength > MaxBodyBytes {
+		return io.ReadAll(rd)
+	}
+	// One spare byte, so the read that reports the end needs no growth.
+	buf := make([]byte, 0, r.ContentLength+1)
+	for {
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
@@ -434,7 +458,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	// The raw body is retained: cluster mode may replay it verbatim to
 	// the owning replica.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		obsRejectBad.Inc()
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
@@ -480,7 +504,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		obsRejectBad.Inc()
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))

@@ -99,6 +99,12 @@ func (d Dragonfly) NumChannels(vcs int) int {
 // VC vcs-1. With vcs == 1 the two local stages share channels and the
 // classic local-global-local cycle appears; with vcs >= 2 the graph is
 // acyclic.
+//
+// Each dependency is emitted exactly once, so no set is needed to
+// deduplicate the terminal-pair routes: the routes' edges fall into
+// eight disjoint families, each enumerated once per router pair or
+// group pair, with the terminal fan-outs (injection to first hop, last
+// hop to every ejection channel of a router) expanded in place.
 func (d Dragonfly) ChannelGraph(vcs int) (ChannelGraph, error) {
 	if err := d.Validate(); err != nil {
 		return ChannelGraph{}, err
@@ -106,60 +112,92 @@ func (d Dragonfly) ChannelGraph(vcs int) (ChannelGraph, error) {
 	if vcs < 1 {
 		return ChannelGraph{}, fmt.Errorf("topology: dragonfly needs >= 1 virtual channel, got %d", vcs)
 	}
-	cg := ChannelGraph{Channels: d.NumChannels(vcs)}
-	for g := 0; g < d.Groups; g++ {
-		for r := 0; r < d.Routers; r++ {
-			for k := 0; k < d.Terminals; k++ {
+	groups, routers, terms := d.Groups, d.Routers, d.Terminals
+	cg := ChannelGraph{
+		Channels: d.NumChannels(vcs),
+		Inputs:   make([]int, 0, d.terminals()),
+		Outputs:  make([]int, 0, d.terminals()),
+		Edges:    make([][2]int, 0, d.numEdges(vcs)),
+	}
+	for g := 0; g < groups; g++ {
+		for r := 0; r < routers; r++ {
+			for k := 0; k < terms; k++ {
 				cg.Inputs = append(cg.Inputs, d.Inj(g, r, k))
 				cg.Outputs = append(cg.Outputs, d.Ej(g, r, k))
 			}
 		}
 	}
-	seen := make(map[[2]int]bool)
-	add := func(from, to int) {
-		e := [2]int{from, to}
-		if !seen[e] {
-			seen[e] = true
-			cg.Edges = append(cg.Edges, e)
+	add := func(from, to int) { cg.Edges = append(cg.Edges, [2]int{from, to}) }
+	// eject adds from -> every ejection channel of router r of group g.
+	eject := func(from, g, r int) {
+		for k := 0; k < terms; k++ {
+			add(from, d.Ej(g, r, k))
 		}
 	}
-	// route emits the channel chain from source router (g, r) to the
-	// ejection channels of destination router (g2, r2).
-	route := func(g, r, g2, r2 int) []int {
-		var hops []int
-		if g == g2 {
-			if r != r2 {
-				hops = append(hops, d.Local(g, r, r2, 0, vcs))
-			}
-			return hops
-		}
-		if gw := d.Gateway(g, g2); r != gw {
-			hops = append(hops, d.Local(g, r, gw, 0, vcs))
-		}
-		hops = append(hops, d.Global(g, g2, vcs))
-		if gw := d.Gateway(g2, g); gw != r2 {
-			hops = append(hops, d.Local(g2, gw, r2, vcs-1, vcs))
-		}
-		return hops
-	}
-	for g := 0; g < d.Groups; g++ {
-		for r := 0; r < d.Routers; r++ {
-			for g2 := 0; g2 < d.Groups; g2++ {
-				for r2 := 0; r2 < d.Routers; r2++ {
-					hops := route(g, r, g2, r2)
-					for k := 0; k < d.Terminals; k++ {
-						prev := d.Inj(g, r, k)
-						for _, h := range hops {
-							add(prev, h)
-							prev = h
-						}
-						for k2 := 0; k2 < d.Terminals; k2++ {
-							add(prev, d.Ej(g2, r2, k2))
-						}
+	// Global channel j of a group is hosted on router j % routers, so the
+	// gateways of every group are its first min(routers, groups-1)
+	// routers: the only senders of VC vcs-1 local hops.
+	gateways := min(routers, groups-1)
+	last := vcs - 1
+	for g := 0; g < groups; g++ {
+		for r := 0; r < routers; r++ {
+			for k := 0; k < terms; k++ {
+				inj := d.Inj(g, r, k)
+				eject(inj, g, r) // destination on the source router
+				for r2 := 0; r2 < routers; r2++ {
+					if r2 != r {
+						add(inj, d.Local(g, r, r2, 0, vcs)) // first hop local
+					}
+				}
+				for g2 := 0; g2 < groups; g2++ {
+					if g2 != g && d.Gateway(g, g2) == r {
+						add(inj, d.Global(g, g2, vcs)) // first hop global
 					}
 				}
 			}
+			for r2 := 0; r2 < routers; r2++ {
+				if r2 == r {
+					continue
+				}
+				eject(d.Local(g, r, r2, 0, vcs), g, r2) // intra-group route ends
+				// An inter-group route's last local hop; on one VC it is
+				// the hop above.
+				if vcs > 1 && r < gateways {
+					eject(d.Local(g, r, r2, last, vcs), g, r2)
+				}
+			}
+		}
+		for g2 := 0; g2 < groups; g2++ {
+			if g2 == g {
+				continue
+			}
+			gw, glob, gw2 := d.Gateway(g, g2), d.Global(g, g2, vcs), d.Gateway(g2, g)
+			for r := 0; r < routers; r++ {
+				if r != gw {
+					add(d.Local(g, r, gw, 0, vcs), glob) // to the gateway
+				}
+			}
+			for r2 := 0; r2 < routers; r2++ {
+				if r2 != gw2 {
+					add(glob, d.Local(g2, gw2, r2, last, vcs)) // from the far gateway
+				}
+			}
+			eject(glob, g2, gw2) // destination on the far gateway
 		}
 	}
 	return cg, nil
+}
+
+// numEdges counts ChannelGraph's dependencies, family by family.
+func (d Dragonfly) numEdges(vcs int) int {
+	g, r, t := d.Groups, d.Routers, d.Terminals
+	n := g*r*t*t + // injection to ejection on one router
+		2*g*r*(r-1)*t + // injection to a VC0 local; VC0 local to ejection
+		g*(g-1)*t + // injection to a global
+		2*g*(g-1)*(r-1) + // VC0 local to a global; global to a last-VC local
+		g*(g-1)*t // global to ejection
+	if vcs > 1 {
+		n += g * min(r, g-1) * (r - 1) * t // last-VC local to ejection
+	}
+	return n
 }

@@ -4,6 +4,8 @@
 package topology_test
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"ebda/internal/cdg"
@@ -159,5 +161,114 @@ func TestDragonflyChannelLayout(t *testing.T) {
 	}
 	if cg.Channels != d.NumChannels(2) {
 		t.Fatalf("graph channels %d != layout %d", cg.Channels, d.NumChannels(2))
+	}
+}
+
+// refChannelGraph is the generator ChannelGraph replaced, kept as the
+// differential reference: it walks every source terminal to every
+// destination terminal and deduplicates the route edges through a set.
+func refChannelGraph(d topology.Dragonfly, vcs int) topology.ChannelGraph {
+	cg := topology.ChannelGraph{Channels: d.NumChannels(vcs)}
+	for g := 0; g < d.Groups; g++ {
+		for r := 0; r < d.Routers; r++ {
+			for k := 0; k < d.Terminals; k++ {
+				cg.Inputs = append(cg.Inputs, d.Inj(g, r, k))
+				cg.Outputs = append(cg.Outputs, d.Ej(g, r, k))
+			}
+		}
+	}
+	seen := make(map[[2]int]bool)
+	add := func(from, to int) {
+		e := [2]int{from, to}
+		if !seen[e] {
+			seen[e] = true
+			cg.Edges = append(cg.Edges, e)
+		}
+	}
+	route := func(g, r, g2, r2 int) []int {
+		var hops []int
+		if g == g2 {
+			if r != r2 {
+				hops = append(hops, d.Local(g, r, r2, 0, vcs))
+			}
+			return hops
+		}
+		if gw := d.Gateway(g, g2); r != gw {
+			hops = append(hops, d.Local(g, r, gw, 0, vcs))
+		}
+		hops = append(hops, d.Global(g, g2, vcs))
+		if gw := d.Gateway(g2, g); gw != r2 {
+			hops = append(hops, d.Local(g2, gw, r2, vcs-1, vcs))
+		}
+		return hops
+	}
+	for g := 0; g < d.Groups; g++ {
+		for r := 0; r < d.Routers; r++ {
+			for g2 := 0; g2 < d.Groups; g2++ {
+				for r2 := 0; r2 < d.Routers; r2++ {
+					hops := route(g, r, g2, r2)
+					for k := 0; k < d.Terminals; k++ {
+						prev := d.Inj(g, r, k)
+						for _, h := range hops {
+							add(prev, h)
+							prev = h
+						}
+						for k2 := 0; k2 < d.Terminals; k2++ {
+							add(prev, d.Ej(g2, r2, k2))
+						}
+					}
+				}
+			}
+		}
+	}
+	return cg
+}
+
+// TestDragonflyMatchesReference holds the generator to the one it
+// replaced: the same channels, inputs and outputs, every edge emitted
+// once, the same edge set, and byte-identical exports in both
+// encodings. The benchmark's three shapes are checked at one and two
+// VCs (the largest only in a full run: the reference takes seconds
+// there), small odd shapes at up to three.
+func TestDragonflyMatchesReference(t *testing.T) {
+	type shape struct {
+		d   topology.Dragonfly
+		vcs []int
+	}
+	shapes := []shape{
+		{topology.Dragonfly{Groups: 2, Routers: 1, Terminals: 1}, []int{1, 2}},
+		{topology.Dragonfly{Groups: 3, Routers: 5, Terminals: 2}, []int{1, 2, 3}},
+		{topology.Dragonfly{Groups: 6, Routers: 2, Terminals: 3}, []int{1, 3}},
+		{topology.Dragonfly{Groups: 9, Routers: 4, Terminals: 2}, []int{1, 2}},
+		{topology.Dragonfly{Groups: 17, Routers: 8, Terminals: 4}, []int{1, 2}},
+	}
+	if !testing.Short() {
+		shapes = append(shapes, shape{topology.Dragonfly{Groups: 33, Routers: 16, Terminals: 8}, []int{1, 2}})
+	}
+	for _, sh := range shapes {
+		for _, vcs := range sh.vcs {
+			cg, err := sh.d.ChannelGraph(vcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := refChannelGraph(sh.d, vcs)
+			if cg.Channels != ref.Channels || !reflect.DeepEqual(cg.Inputs, ref.Inputs) || !reflect.DeepEqual(cg.Outputs, ref.Outputs) {
+				t.Fatalf("%+v vcs=%d: channel layout differs from the reference", sh.d, vcs)
+			}
+			if len(cg.Edges) != len(ref.Edges) || cap(cg.Edges) != len(cg.Edges) {
+				t.Fatalf("%+v vcs=%d: %d edges (capacity %d), reference %d", sh.d, vcs, len(cg.Edges), cap(cg.Edges), len(ref.Edges))
+			}
+			g, err := graphio.New(cg.Channels, cg.Inputs, cg.Outputs, cg.Edges)
+			if err != nil {
+				t.Fatalf("%+v vcs=%d: %v", sh.d, vcs, err)
+			}
+			rg, err := graphio.New(ref.Channels, ref.Inputs, ref.Outputs, ref.Edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g.ExportCDG(), rg.ExportCDG()) || !bytes.Equal(g.ExportJSON(), rg.ExportJSON()) {
+				t.Fatalf("%+v vcs=%d: exports differ from the reference", sh.d, vcs)
+			}
+		}
 	}
 }
