@@ -1,14 +1,18 @@
 // Command ebda-deltabench measures the incremental delta verification
-// path against the from-scratch path and writes the delta perf snapshot
-// (BENCH_delta.json) that ebda-benchdiff gates across commits.
+// path against the from-scratch path and writes the delta rows
+// (BENCH_delta.json, a ledger snapshot) that ebda-benchdiff gates across
+// commits.
 //
 // Each case replays a family of single-element diffs — one removed link
 // or one disabled turn per verification — against a retained
 // cdg.DeltaWorkspace, and replays the same diffs the pre-delta way
 // (derive the perturbed design, verify from scratch through the pooled
-// engine). The snapshot records the mean per-diff cost of both paths and
+// engine). Each case's rows are the mean per-diff cost of both paths and
 // their ratio, plus the incremental/fallback split so a run that
-// silently fell back to full peels is visible. Before timing, every
+// silently fell back to full peels is visible. The rows carry the gates:
+// the single-link ratio at most 0.05 (incremental re-verification at
+// most 5% of a from-scratch one), every other ratio at most 1, and at
+// least one incremental verification per case. Before timing, every
 // distinct diff's delta verdict is checked against the from-scratch
 // verdict; a divergence is a correctness bug and exits 1.
 //
@@ -26,11 +30,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"ebda/internal/cdg"
 	"ebda/internal/core"
+	"ebda/internal/ledger"
 	"ebda/internal/obs"
 	"ebda/internal/topology"
 )
@@ -39,15 +43,23 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// benchCase is one perturbation family: a diff sequence and the
-// from-scratch computation of each diff's verdict.
+// benchCase is one perturbation family: a diff sequence, the
+// from-scratch computation of each diff's verdict and the limit on the
+// delta/full ratio.
 type benchCase struct {
-	name  string
-	net   *topology.Network
-	vcs   cdg.VCConfig
-	ts    *core.TurnSet
-	diffs []cdg.Diff
-	full  func(cdg.Diff) cdg.Report
+	name     string
+	net      *topology.Network
+	vcs      cdg.VCConfig
+	ts       *core.TurnSet
+	diffs    []cdg.Diff
+	full     func(cdg.Diff) cdg.Report
+	maxRatio float64
+}
+
+// caseResult is one case's measurement.
+type caseResult struct {
+	fullNS, deltaNS, ratio float64
+	incremental, fallbacks uint64
 }
 
 func run(argv []string, out, errw io.Writer) int {
@@ -68,13 +80,9 @@ func run(argv []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	b := cdg.DeltaBench{
-		Kind:        cdg.DeltaBenchKind,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //ebda:allow detlint bench snapshots are stamped with real wall time by design
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		Jobs:        *jobs,
-		Rounds:      *rounds,
+	rows := []ledger.Row{
+		{Case: "workload", Metric: "rounds", Value: float64(*rounds), Unit: "count"},
+		{Case: "workload", Metric: "jobs", Value: float64(*jobs), Unit: "count"},
 	}
 	for _, c := range cases() {
 		res, err := measure(c, *rounds, *jobs)
@@ -82,23 +90,19 @@ func run(argv []string, out, errw io.Writer) int {
 			fmt.Fprintln(errw, "ebda-deltabench:", err)
 			return 1
 		}
-		b.Cases = append(b.Cases, res)
+		rows = append(rows,
+			ledger.Row{Case: c.name, Metric: "full_ns", Value: res.fullNS, Unit: "ns", Better: ledger.Lower},
+			ledger.Row{Case: c.name, Metric: "delta_ns", Value: res.deltaNS, Unit: "ns", Better: ledger.Lower},
+			ledger.Row{Case: c.name, Metric: "ratio", Value: res.ratio, Unit: "ratio", Better: ledger.Lower}.WithLimit(c.maxRatio),
+			ledger.Row{Case: c.name, Metric: "incremental", Value: float64(res.incremental), Unit: "count", Better: ledger.Higher}.WithLimit(1),
+			ledger.Row{Case: c.name, Metric: "fallbacks", Value: float64(res.fallbacks), Unit: "count", Better: ledger.Lower},
+		)
 		fmt.Fprintf(out, "%-24s full %10.0f ns  delta %8.0f ns  ratio %6.4f  (incremental %d, fallback %d)\n",
-			res.Name, res.FullNanos, res.DeltaNanos, res.Ratio, res.Incremental, res.Fallbacks)
+			c.name, res.fullNS, res.deltaNS, res.ratio, res.incremental, res.fallbacks)
 	}
 
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(errw, "ebda-deltabench:", err)
-			return 2
-		}
-		if err := b.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintln(errw, "ebda-deltabench:", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
+		if err := ledger.Write(*outPath, rows); err != nil {
 			fmt.Fprintln(errw, "ebda-deltabench:", err)
 			return 2
 		}
@@ -129,13 +133,13 @@ func cases() []benchCase {
 
 	return []benchCase{
 		{
-			name: "mesh8x8/single-link", net: net, vcs: vcs, ts: ts, diffs: linkDiffs,
+			name: "mesh8x8/single-link", net: net, vcs: vcs, ts: ts, diffs: linkDiffs, maxRatio: 0.05,
 			full: func(d cdg.Diff) cdg.Report {
 				return cdg.VerifyTurnSetJobs(net.WithoutLinks(d.RemoveLinks), vcs, ts, 1)
 			},
 		},
 		{
-			name: "mesh8x8/turn-toggle", net: net, vcs: vcs, ts: ts, diffs: turnDiffs,
+			name: "mesh8x8/turn-toggle", net: net, vcs: vcs, ts: ts, diffs: turnDiffs, maxRatio: 1,
 			full: func(d cdg.Diff) cdg.Report {
 				reduced := ts.Clone()
 				for _, t := range d.DisableTurns {
@@ -149,20 +153,20 @@ func cases() []benchCase {
 
 // measure checks every distinct diff for delta/full agreement, then times
 // both paths over the same rotating diff sequence.
-func measure(c benchCase, rounds, jobs int) (cdg.DeltaBenchCase, error) {
+func measure(c benchCase, rounds, jobs int) (caseResult, error) {
 	dw, err := cdg.NewDeltaWorkspace(c.net, c.vcs, c.ts)
 	if err != nil {
-		return cdg.DeltaBenchCase{}, fmt.Errorf("%s: %v", c.name, err)
+		return caseResult{}, fmt.Errorf("%s: %v", c.name, err)
 	}
 	fulls := make([]cdg.Report, len(c.diffs))
 	for i, d := range c.diffs {
 		fulls[i] = c.full(d)
 		got, err := dw.VerifyDiffJobs(d, jobs)
 		if err != nil {
-			return cdg.DeltaBenchCase{}, fmt.Errorf("%s diff %d: %v", c.name, i, err)
+			return caseResult{}, fmt.Errorf("%s diff %d: %v", c.name, i, err)
 		}
 		if !reportsEqual(got, fulls[i]) {
-			return cdg.DeltaBenchCase{}, fmt.Errorf(
+			return caseResult{}, fmt.Errorf(
 				"%s diff %d: delta verdict diverges from from-scratch verdict:\n delta %v\n  full %v",
 				c.name, i, got, fulls[i])
 		}
@@ -172,7 +176,7 @@ func measure(c benchCase, rounds, jobs int) (cdg.DeltaBenchCase, error) {
 	t0 := time.Now() //ebda:allow detlint benchmarks measure wall time by design
 	for i := 0; i < rounds; i++ {
 		if _, err := dw.VerifyDiffJobs(c.diffs[i%len(c.diffs)], jobs); err != nil {
-			return cdg.DeltaBenchCase{}, fmt.Errorf("%s: %v", c.name, err)
+			return caseResult{}, fmt.Errorf("%s: %v", c.name, err)
 		}
 	}
 	deltaNS := float64(time.Since(t0).Nanoseconds()) / float64(rounds) //ebda:allow detlint benchmarks measure wall time by design
@@ -181,21 +185,19 @@ func measure(c benchCase, rounds, jobs int) (cdg.DeltaBenchCase, error) {
 	t0 = time.Now() //ebda:allow detlint benchmarks measure wall time by design
 	for i := 0; i < rounds; i++ {
 		if rep := c.full(c.diffs[i%len(c.diffs)]); rep.Channels == 0 {
-			return cdg.DeltaBenchCase{}, fmt.Errorf("%s: empty from-scratch report", c.name)
+			return caseResult{}, fmt.Errorf("%s: empty from-scratch report", c.name)
 		}
 	}
 	fullNS := float64(time.Since(t0).Nanoseconds()) / float64(rounds) //ebda:allow detlint benchmarks measure wall time by design
 
-	res := cdg.DeltaBenchCase{
-		Name:        c.name,
-		Network:     c.net.String(),
-		FullNanos:   fullNS,
-		DeltaNanos:  deltaNS,
-		Incremental: after["ebda_cdg_delta_incremental_total"] - before["ebda_cdg_delta_incremental_total"],
-		Fallbacks:   after["ebda_cdg_delta_fallbacks_total"] - before["ebda_cdg_delta_fallbacks_total"],
+	res := caseResult{
+		fullNS:      fullNS,
+		deltaNS:     deltaNS,
+		incremental: after["ebda_cdg_delta_incremental_total"] - before["ebda_cdg_delta_incremental_total"],
+		fallbacks:   after["ebda_cdg_delta_fallbacks_total"] - before["ebda_cdg_delta_fallbacks_total"],
 	}
 	if fullNS > 0 {
-		res.Ratio = deltaNS / fullNS
+		res.ratio = deltaNS / fullNS
 	}
 	return res, nil
 }

@@ -9,8 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +18,7 @@ import (
 	"ebda/internal/channel"
 	"ebda/internal/cluster"
 	"ebda/internal/core"
+	"ebda/internal/ledger"
 	"ebda/internal/serve"
 	"ebda/internal/topology"
 )
@@ -38,11 +37,13 @@ import (
 // contention, not the router. Instead the workload is partitioned by
 // entry replica and driven one phase per replica; the modeled cluster
 // wall is the slowest phase, which is exactly the wall an N-machine
-// cluster observes for independent per-replica streams. ScalingX =
+// cluster observes for independent per-replica streams. scaling_x =
 // baseline wall / modeled cluster wall then measures what the router
 // actually controls — shard balance and the cost of misroute hops —
 // and is stable under the race detector because it is a ratio of walls
-// measured under identical instrumentation.
+// measured under identical instrumentation. Both are rows of the
+// "cluster-modeled" case; the "cluster-measured" row next to them is
+// the wall this host took, the sum of the phases.
 //
 // The design set is balanced by construction: distinct 8x8-mesh
 // turn-subset designs are drawn (seeded) until every replica owns
@@ -153,88 +154,81 @@ func runCluster(p clusterParams, out, errw io.Writer) int {
 	for _, it := range items {
 		streams[it.entry] = append(streams[it.entry], it.req)
 	}
-	bench := serve.ClusterBench{
-		Kind:         serve.ClusterBenchKind,
-		GeneratedAt:  time.Now().UTC().Format(time.RFC3339), //ebda:allow detlint bench snapshots are stamped with real wall time by design
-		GoVersion:    runtime.Version(),
-		NumCPU:       runtime.NumCPU(),
-		Seed:         p.seed,
-		Replicas:     p.replicas,
-		Designs:      p.designs,
-		MisrouteRate: p.misroute,
-
-		BaselineWallSeconds: baseWall,
-	}
-	if baseWall > 0 {
-		bench.BaselineRPS = float64(len(baseReqs)) / baseWall
-	}
-	var aggLat []float64
-	maxPhase := 0.0
+	var (
+		agg      tally
+		aggLat   []float64
+		perRows  []ledger.Row
+		maxPhase float64
+		sumPhase float64
+	)
 	for _, proc := range procs {
 		stream := streams[proc.name]
 		results, wall := driveStream(client, proc.url, stream, p.conc)
-		if wall > maxPhase {
-			maxPhase = wall
-		}
-		rb := serve.ReplicaBench{Name: proc.name, Requests: len(stream), WallSeconds: wall}
+		maxPhase = max(maxPhase, wall)
+		sumPhase += wall
+		var t tally
 		lat := make([]float64, 0, len(results))
 		for _, r := range results {
 			lat = append(lat, r.latencyMS)
-			rb.Cache += r.cache
-			rb.Computed += r.computed
-			rb.Coalesced += r.coalesced
-			rb.Peer += r.peer
-			rb.Forwarded += r.forwarded
-			switch {
-			case r.status >= 500:
-				bench.Status5xx++
-			case r.status >= 400:
-				bench.Status4xx++
-			case r.status >= 200 && r.status < 300:
-				bench.Status2xx++
-			}
-			bench.Requests++
+			t.add(r)
+			agg.add(r)
 		}
 		aggLat = append(aggLat, lat...)
-		if wall > 0 {
-			rb.ThroughputRPS = float64(len(stream)) / wall
-		}
-		rb.P50Millis = serve.Quantile(lat, 0.50)
-		rb.P99Millis = serve.Quantile(lat, 0.99)
-		bench.PeerHits += rb.Peer
-		bench.Forwards += rb.Forwarded
-		bench.PerReplica = append(bench.PerReplica, rb)
+		c := "replica/" + proc.name
+		perRows = append(perRows,
+			ledger.Row{Case: c, Metric: "requests", Value: float64(len(stream)), Unit: "count"},
+			ledger.Row{Case: c, Metric: "wall_s", Value: wall, Unit: "s", Better: ledger.Lower},
+			ledger.Row{Case: c, Metric: "p99_ms", Value: quantile(lat, 0.99), Unit: "ms", Better: ledger.Lower},
+			ledger.Row{Case: c, Metric: "verdicts_peer", Value: float64(t.peer), Unit: "count"},
+			ledger.Row{Case: c, Metric: "verdicts_forwarded", Value: float64(t.fwd), Unit: "count"},
+		)
 		fmt.Fprintf(errw, "ebda-loadgen: phase %s: %d requests in %.3fs (peer %d, forwarded %d)\n",
-			proc.name, len(stream), wall, rb.Peer, rb.Forwarded)
+			proc.name, len(stream), wall, t.peer, t.fwd)
 	}
-	bench.ClusterWallSeconds = maxPhase
+	// The modeled cluster wall is the slowest phase: what N machines
+	// serving the phases side by side would observe. The measured wall of
+	// this host is the phases' sum, since it ran them one after another.
+	baseRPS, aggRPS, scaling := 0.0, 0.0, 0.0
+	if baseWall > 0 {
+		baseRPS = float64(len(baseReqs)) / baseWall
+	}
 	if maxPhase > 0 {
-		bench.AggregateRPS = float64(bench.Requests) / maxPhase
-		bench.ScalingX = baseWall / maxPhase
+		aggRPS = float64(agg.requests) / maxPhase
+		scaling = baseWall / maxPhase
 	}
-	if bench.Requests > 0 {
-		bench.PeerHitRate = float64(bench.PeerHits) / float64(bench.Requests)
-		bench.ForwardRate = float64(bench.Forwards) / float64(bench.Requests)
+	var base tally
+	for _, r := range baseResults {
+		base.add(r)
 	}
-	bench.AggP50Millis = serve.Quantile(aggLat, 0.50)
-	bench.AggP99Millis = serve.Quantile(aggLat, 0.99)
+	aggP50, aggP99 := quantile(aggLat, 0.50), quantile(aggLat, 0.99)
+	rows := append([]ledger.Row{
+		{Case: "workload", Metric: "seed", Value: float64(p.seed), Unit: "count"},
+		{Case: "workload", Metric: "replicas", Value: float64(p.replicas), Unit: "count"},
+		{Case: "workload", Metric: "requests", Value: float64(p.requests), Unit: "count"},
+		{Case: "workload", Metric: "designs", Value: float64(p.designs), Unit: "count"},
+		{Case: "workload", Metric: "misroute_rate", Value: p.misroute, Unit: "ratio"},
+		{Case: "baseline", Metric: "wall_s", Value: baseWall, Unit: "s", Better: ledger.Lower},
+		{Case: "baseline", Metric: "rps", Value: baseRPS, Unit: "1/s", Better: ledger.Higher},
+		ledger.Row{Case: "baseline", Metric: "status_5xx", Value: float64(base.s5xx), Unit: "count", Better: ledger.Lower}.WithLimit(0),
+		{Case: "cluster-modeled", Metric: "wall_s", Value: maxPhase, Unit: "s", Better: ledger.Lower},
+		ledger.Row{Case: "cluster-modeled", Metric: "aggregate_rps", Value: aggRPS, Unit: "1/s", Better: ledger.Higher}.WithBound(0.25, 0),
+		ledger.Row{Case: "cluster-modeled", Metric: "scaling_x", Value: scaling, Unit: "x", Better: ledger.Higher}.WithLimit(0.75 * float64(p.replicas)),
+		{Case: "cluster-measured", Metric: "wall_s", Value: sumPhase, Unit: "s", Better: ledger.Lower},
+		{Case: "cluster", Metric: "requests", Value: float64(agg.requests), Unit: "count"},
+		ledger.Row{Case: "cluster", Metric: "peer_hits", Value: float64(agg.peer), Unit: "count", Better: ledger.Higher}.WithLimit(1),
+		ledger.Row{Case: "cluster", Metric: "forwards", Value: float64(agg.fwd), Unit: "count", Better: ledger.Higher}.WithLimit(1),
+		{Case: "cluster", Metric: "status_4xx", Value: float64(agg.s4xx), Unit: "count", Better: ledger.Lower},
+		ledger.Row{Case: "cluster", Metric: "status_5xx", Value: float64(agg.s5xx), Unit: "count", Better: ledger.Lower}.WithLimit(0),
+		{Case: "cluster", Metric: "agg_p50_ms", Value: aggP50, Unit: "ms", Better: ledger.Lower},
+		ledger.Row{Case: "cluster", Metric: "agg_p99_ms", Value: aggP99, Unit: "ms", Better: ledger.Lower}.WithBound(0.25, 1),
+	}, perRows...)
 
 	// Probes: the cluster's correctness contracts, checked regardless of
 	// -smoke (they cost a handful of requests).
 	probeFails := clusterProbes(client, errw, procs, ring, designs, deltas, &snapshot, p.cfg)
 
 	if p.outPath != "" {
-		f, err := os.Create(p.outPath)
-		if err != nil {
-			fmt.Fprintln(errw, "ebda-loadgen:", err)
-			return 2
-		}
-		if err := bench.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintln(errw, "ebda-loadgen:", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
+		if err := ledger.Write(p.outPath, rows); err != nil {
 			fmt.Fprintln(errw, "ebda-loadgen:", err)
 			return 2
 		}
@@ -242,43 +236,23 @@ func runCluster(p clusterParams, out, errw io.Writer) int {
 	}
 
 	fmt.Fprintf(out, "cluster: %d replicas, %d requests, %d designs, misroute %.0f%%\n",
-		bench.Replicas, bench.Requests, bench.Designs, bench.MisrouteRate*100)
-	fmt.Fprintf(out, "baseline %.3fs (%.1f req/s)  cluster %.3fs modeled (%.1f req/s)  scaling %.2fx\n",
-		bench.BaselineWallSeconds, bench.BaselineRPS, bench.ClusterWallSeconds, bench.AggregateRPS, bench.ScalingX)
-	fmt.Fprintf(out, "routing: peer hits %d (%.3f)  forwards %d (%.3f)  2xx %d  4xx %d  5xx %d\n",
-		bench.PeerHits, bench.PeerHitRate, bench.Forwards, bench.ForwardRate,
-		bench.Status2xx, bench.Status4xx, bench.Status5xx)
-	fmt.Fprintf(out, "latency: agg p50 %.2fms  agg p99 %.2fms\n", bench.AggP50Millis, bench.AggP99Millis)
-
-	// Baseline-phase sanity folds into smoke: the workload itself must
-	// have been healthy for the comparison to mean anything.
-	base5xx := 0
-	for _, r := range baseResults {
-		if r.status >= 500 {
-			base5xx++
-		}
-	}
+		p.replicas, agg.requests, p.designs, p.misroute*100)
+	fmt.Fprintf(out, "baseline %.3fs (%.1f req/s)  cluster %.3fs modeled, %.3fs measured (%.1f req/s modeled)  scaling %.2fx modeled\n",
+		baseWall, baseRPS, maxPhase, sumPhase, aggRPS, scaling)
+	fmt.Fprintf(out, "routing: peer hits %d  forwards %d  2xx %d  4xx %d  5xx %d\n",
+		agg.peer, agg.fwd, agg.s2xx, agg.s4xx, agg.s5xx)
+	fmt.Fprintf(out, "latency: agg p50 %.2fms  agg p99 %.2fms\n", aggP50, aggP99)
 
 	if p.smoke {
+		// The smoke invariants are the rows' own limits: the baseline and
+		// the cluster served no 5xx, both routing paths ran, and the
+		// modeled scaling reached 0.75x per replica.
 		violations := probeFails
-		fail := func(format string, args ...any) {
-			violations++
-			fmt.Fprintf(errw, "SMOKE FAIL: "+format+"\n", args...)
-		}
-		if base5xx != 0 {
-			fail("%d baseline responses were 5xx, want 0", base5xx)
-		}
-		if bench.Status5xx != 0 {
-			fail("%d cluster responses were 5xx, want 0", bench.Status5xx)
-		}
-		if bench.PeerHits < 1 {
-			fail("no verdict was answered from a peer cache")
-		}
-		if bench.Forwards < 1 {
-			fail("no request was forwarded to its owner")
-		}
-		if floor := 0.75 * float64(p.replicas); bench.ScalingX < floor {
-			fail("scaling %.2fx below the %.2fx floor (%d replicas)", bench.ScalingX, floor, p.replicas)
+		for _, r := range rows {
+			if !r.Holds(r.Value) {
+				violations++
+				fmt.Fprintf(errw, "SMOKE FAIL: %s %s = %g, limit %g (%s is better)\n", r.Case, r.Metric, r.Value, *r.Limit, r.Better)
+			}
 		}
 		if violations > 0 {
 			return 1

@@ -1,7 +1,8 @@
 // Command ebda-loadgen drives ebda-serve with a deterministic seeded
-// workload and writes the serving-layer perf snapshot
-// (BENCH_serve.json: p50/p99 latency, throughput, coalesce rate, error
-// counts) that ebda-benchdiff compares across commits.
+// workload and prints its latency, throughput, coalesce rate and error
+// counts. With -cluster it drives an in-process replica ring instead and
+// can write the cluster rows (BENCH_cluster.json, a ledger snapshot)
+// that ebda-benchdiff gates across commits; see cluster.go.
 //
 // The workload mixes hot requests (a small set of repeated designs that
 // exercise the verify cache), cold requests (fresh shapes that compute),
@@ -27,8 +28,9 @@
 //
 // Usage examples:
 //
-//	ebda-loadgen -smoke -out BENCH_serve.json
+//	ebda-loadgen -smoke
 //	ebda-loadgen -addr 127.0.0.1:8423 -requests 2000 -conc 16
+//	ebda-loadgen -cluster -replicas 4 -smoke -out BENCH_cluster.json
 package main
 
 import (
@@ -42,7 +44,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -89,7 +91,7 @@ func run(argv []string, out, errw io.Writer) int {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	requests := fs.Int("requests", 200, "requests in the main phase")
 	conc := fs.Int("conc", 8, "concurrent client workers")
-	outPath := fs.String("out", "BENCH_serve.json", "perf snapshot path (empty disables)")
+	outPath := fs.String("out", "", "cluster mode: write the cluster rows to this path")
 	smoke := fs.Bool("smoke", false, "assert serving invariants; exit 1 on violation")
 	burst := fs.Int("burst", 8, "width of the coalesce burst phase")
 	workers := fs.Int("workers", 0, "in-process server: worker pool size (0 = GOMAXPROCS)")
@@ -106,18 +108,16 @@ func run(argv []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "ebda-loadgen: -requests, -conc and -burst must be positive")
 		return 2
 	}
+	if *outPath != "" && !*clusterMode {
+		fmt.Fprintln(errw, "ebda-loadgen: -out writes cluster rows; it needs -cluster")
+		return 2
+	}
 
 	cfg := serve.Config{Workers: *workers, QueueDepth: *queue, Timeout: *timeout}
 	if *clusterMode {
 		if *addr != "" {
 			fmt.Fprintln(errw, "ebda-loadgen: -cluster drives in-process replicas; -addr is incompatible")
 			return 2
-		}
-		path := *outPath
-		if path == "BENCH_serve.json" {
-			// The untouched default names the single-server snapshot;
-			// cluster runs get their own file.
-			path = "BENCH_cluster.json"
 		}
 		// The single-server default of 200 requests is too small a
 		// sample for the scaling gate: a handful of forwards landing on
@@ -140,7 +140,7 @@ func run(argv []string, out, errw io.Writer) int {
 			replicas: *replicas,
 			designs:  *designs,
 			misroute: *misroute,
-			outPath:  path,
+			outPath:  *outPath,
 			smoke:    *smoke,
 			cfg:      cfg,
 		}, out, errw)
@@ -242,74 +242,31 @@ func run(argv []string, out, errw io.Writer) int {
 		drainOK, drainMsg = probeDrain(client, baseURL, local)
 	}
 
-	// Aggregate. The config is recorded with defaults resolved: the pool
-	// size and queue depth the server actually ran with, never the
-	// zero-sentinels of unset flags.
-	resolved := cfg.Resolved()
-	b := serve.Bench{
-		Kind:        serve.BenchKind,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //ebda:allow detlint bench snapshots are stamped with real wall time by design
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		Workers:     resolved.Workers,
-		QueueDepth:  resolved.QueueDepth,
-		Seed:        *seed,
-		WallSeconds: wall,
-		Traced:      traced,
-	}
+	// Aggregate.
+	var t tally
 	latencies := make([]float64, 0, len(results))
 	invalidBad := 0
 	for _, r := range results {
-		b.Requests++
 		latencies = append(latencies, r.latencyMS)
-		switch {
-		case r.status >= 500:
-			b.Status5xx++
-		case r.status >= 400:
-			b.Status4xx++
-		case r.status >= 200 && r.status < 300:
-			b.Status2xx++
-		}
-		b.Status5xx += r.item5xx
-		b.Cache += r.cache
-		b.Computed += r.computed
-		b.Coalesced += r.coalesced
-		b.Deltas += r.delta
+		t.add(r)
 		if r.invalid && (r.status < 400 || r.status >= 500) {
 			invalidBad++
 		}
 	}
-	if total := b.Cache + b.Computed + b.Coalesced + b.Deltas; total > 0 {
-		b.CoalesceRate = float64(b.Coalesced) / float64(total)
+	coalesceRate := 0.0
+	if total := t.cache + t.computed + t.coalesced + t.delta; total > 0 {
+		coalesceRate = float64(t.coalesced) / float64(total)
 	}
+	throughput := 0.0
 	if wall > 0 {
-		b.ThroughputRPS = float64(b.Requests) / wall
-	}
-	b.P50Millis = serve.Quantile(latencies, 0.50)
-	b.P99Millis = serve.Quantile(latencies, 0.99)
-
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(errw, "ebda-loadgen:", err)
-			return 2
-		}
-		if err := b.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintln(errw, "ebda-loadgen:", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(errw, "ebda-loadgen:", err)
-			return 2
-		}
-		fmt.Fprintf(errw, "ebda-loadgen: snapshot written to %s\n", *outPath)
+		throughput = float64(t.requests) / wall
 	}
 
-	fmt.Fprintf(out, "requests %d  2xx %d  4xx %d  5xx %d\n", b.Requests, b.Status2xx, b.Status4xx, b.Status5xx)
+	fmt.Fprintf(out, "requests %d  2xx %d  4xx %d  5xx %d\n", t.requests, t.s2xx, t.s4xx, t.s5xx)
 	fmt.Fprintf(out, "verdicts: cache %d  computed %d  coalesced %d  delta %d (coalesce rate %.3f)\n",
-		b.Cache, b.Computed, b.Coalesced, b.Deltas, b.CoalesceRate)
-	fmt.Fprintf(out, "latency: p50 %.2fms  p99 %.2fms  throughput %.1f req/s  traced %d\n", b.P50Millis, b.P99Millis, b.ThroughputRPS, b.Traced)
+		t.cache, t.computed, t.coalesced, t.delta, coalesceRate)
+	fmt.Fprintf(out, "latency: p50 %.2fms  p99 %.2fms  throughput %.1f req/s  traced %d\n",
+		quantile(latencies, 0.50), quantile(latencies, 0.99), throughput, traced)
 
 	if *smoke {
 		violations := 0
@@ -317,10 +274,10 @@ func run(argv []string, out, errw io.Writer) int {
 			violations++
 			fmt.Fprintf(errw, "SMOKE FAIL: "+format+"\n", args...)
 		}
-		if b.Status5xx != 0 {
-			fail("%d responses were 5xx, want 0", b.Status5xx)
+		if t.s5xx != 0 {
+			fail("%d responses were 5xx, want 0", t.s5xx)
 		}
-		if b.Coalesced < 1 {
+		if t.coalesced < 1 {
 			fail("no request coalesced onto an in-flight computation")
 		}
 		if !deterministic {
@@ -329,7 +286,7 @@ func run(argv []string, out, errw io.Writer) int {
 		if invalidBad != 0 {
 			fail("%d invalid requests were not rejected with a 4xx", invalidBad)
 		}
-		if b.Deltas < 1 {
+		if t.delta < 1 {
 			fail("no delta verdict was computed incrementally")
 		}
 		if !deltaOK {
@@ -511,6 +468,50 @@ func doReq(client *http.Client, baseURL string, r genReq) result {
 		}
 	}
 	return res
+}
+
+// tally sums results: request and status counts (a batch item's 5xx
+// counts as a 5xx) and the provenance of every verdict.
+type tally struct {
+	requests, s2xx, s4xx, s5xx                   int
+	cache, computed, coalesced, delta, peer, fwd int
+}
+
+func (t *tally) add(r result) {
+	t.requests++
+	switch {
+	case r.status >= 500:
+		t.s5xx++
+	case r.status >= 400:
+		t.s4xx++
+	case r.status >= 200 && r.status < 300:
+		t.s2xx++
+	}
+	t.s5xx += r.item5xx
+	t.cache += r.cache
+	t.computed += r.computed
+	t.coalesced += r.coalesced
+	t.delta += r.delta
+	t.peer += r.peer
+	t.fwd += r.forwarded
+}
+
+// quantile returns the q-quantile (0..1) of latencies in milliseconds
+// using the nearest-rank method, 0 for an empty sample. The input is
+// sorted in place.
+func quantile(latenciesMS []float64, q float64) float64 {
+	if len(latenciesMS) == 0 {
+		return 0
+	}
+	sort.Float64s(latenciesMS)
+	rank := int(q*float64(len(latenciesMS))+0.5) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(latenciesMS) {
+		rank = len(latenciesMS) - 1
+	}
+	return latenciesMS[rank]
 }
 
 func (r *result) tally(provenance string) {

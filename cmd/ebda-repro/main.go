@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ebda-repro [-quick] [-details] [-markdown|-json] [-only E06] [-jobs N] [-benchjson FILE]
+//	ebda-repro [-quick] [-details] [-markdown|-json] [-only E06] [-jobs N]
 //	ebda-repro -quick -obs :8080 -obs-json run.json -cachestats
 package main
 
@@ -28,7 +28,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit a Markdown summary table (EXPERIMENTS.md style)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array")
 	jobs := flag.Int("jobs", 0, "worker pool size for running experiments (0 = all cores)")
-	benchJSON := flag.String("benchjson", "", "write a perf snapshot (wall time per experiment, CDG channels/sec) to this file, e.g. BENCH_verify.json")
 	cacheStats := flag.Bool("cachestats", false, "print this run's verification-cache counter deltas after the run")
 	obsAddr := flag.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	obsJSON := flag.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
@@ -44,19 +43,6 @@ func main() {
 	obsBefore := obs.Default.Snapshot()
 
 	opts := experiments.Options{Quick: *quick}
-
-	if *benchJSON != "" {
-		if err := writeBench(*benchJSON, opts, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-		if err := finishObs(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
 
 	var selected []experiments.Runner
 	for _, r := range experiments.All() {
@@ -152,20 +138,6 @@ func printCacheStats(before obs.Snapshot) {
 		fmt.Printf("  hit rate: %.1f%% (%d/%d)\n",
 			float64(hits)/float64(hits+misses)*100, hits, hits+misses)
 	}
-}
-
-// writeBench runs the perf harness and writes the JSON snapshot.
-func writeBench(path string, opts experiments.Options, jobs int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	b := experiments.RunBench(opts, jobs)
-	if err := b.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // escapeMD keeps table cells on one line and pipe-free.

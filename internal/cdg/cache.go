@@ -282,10 +282,61 @@ func (c *VerifyCache) VerifyTurnSetJobs(net *topology.Network, vcs VCConfig, ts 
 // cancellation returns ctx's error, counts the probe as a miss, and
 // stores nothing (partial peels never become cache entries).
 func (c *VerifyCache) VerifyTurnSetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (Report, error) {
-	key, check := verifyKey(net, vcs, ts)
-	return c.Do(ctx, key, check, func(ctx context.Context) (Report, error) {
-		return VerifyTurnSetCtx(ctx, net, vcs, ts, jobs)
+	return c.VerifyQueryCtx(ctx, NewTurnSetQuery(net, vcs, ts), jobs)
+}
+
+// TurnSetQuery is one turn-set verification with its cache identity
+// computed once: a server hashes the design for its cache probe and, on
+// a miss, hands the same query to VerifyCache.VerifyQueryCtx, which does
+// not hash again. Delta derives a delta question's identity from it
+// without rehashing the base.
+type TurnSetQuery struct {
+	// Key and Check are VerifyKey's dual hash of the design.
+	Key, Check uint64
+
+	net *topology.Network
+	vcs VCConfig
+	ts  *core.TurnSet
+}
+
+// NewTurnSetQuery computes the design's VerifyKey.
+func NewTurnSetQuery(net *topology.Network, vcs VCConfig, ts *core.TurnSet) *TurnSetQuery {
+	q := &TurnSetQuery{net: net, vcs: vcs, ts: ts}
+	q.Key, q.Check = verifyKey(net, vcs, ts)
+	return q
+}
+
+// VerifyQueryCtx is VerifyTurnSetCtx for a query built once: the
+// memoized verdict under q's key, computed and cached on a miss.
+func (c *VerifyCache) VerifyQueryCtx(ctx context.Context, q *TurnSetQuery, jobs int) (Report, error) {
+	return c.Do(ctx, q.Key, q.Check, func(ctx context.Context) (Report, error) {
+		return VerifyTurnSetCtx(ctx, q.net, q.vcs, q.ts, jobs)
 	})
+}
+
+// DeltaQuery is one delta verification with its DeltaKey computed once,
+// from the base query's key.
+type DeltaQuery struct {
+	// Key and Check are DeltaKey's dual hash of the question.
+	Key, Check uint64
+
+	base *TurnSetQuery
+	diff Diff
+}
+
+// Delta returns the question "q's design perturbed by diff".
+func (q *TurnSetQuery) Delta(diff Diff) *DeltaQuery {
+	const (
+		deltaSeedA = 0x71c3a9d0f54bd137
+		deltaSeedB = 0x3c79ac492ba7b653
+	)
+	f1, f2 := diff.Fingerprint()
+	return &DeltaQuery{
+		Key:   mix64(q.Key ^ mix64(f1^deltaSeedA)),
+		Check: mix64(q.Check*0x100000001b3 + mix64(f2^deltaSeedB)),
+		base:  q,
+		diff:  diff,
+	}
 }
 
 // DeltaKey derives the cache identity of a delta verification: the base
@@ -294,15 +345,8 @@ func (c *VerifyCache) VerifyTurnSetCtx(ctx context.Context, net *topology.Networ
 // values, so serving layers coalesce concurrent identical deltas onto one
 // computation.
 func DeltaKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (key, check uint64) {
-	const (
-		deltaSeedA = 0x71c3a9d0f54bd137
-		deltaSeedB = 0x3c79ac492ba7b653
-	)
-	bk, bc := verifyKey(net, vcs, ts)
-	f1, f2 := diff.Fingerprint()
-	key = mix64(bk ^ mix64(f1^deltaSeedA))
-	check = mix64(bc*0x100000001b3 + mix64(f2^deltaSeedB))
-	return key, check
+	q := NewTurnSetQuery(net, vcs, ts).Delta(diff)
+	return q.Key, q.Check
 }
 
 // VerifyDeltaCtx returns the memoized report of the base design perturbed
@@ -313,14 +357,19 @@ func DeltaKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) 
 // nothing. Reports are bit-identical to a from-scratch verification of the
 // perturbed design for every jobs value.
 func (c *VerifyCache) VerifyDeltaCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff, jobs int) (Report, error) {
-	key, check := DeltaKey(net, vcs, ts, diff)
-	return c.Do(ctx, key, check, func(ctx context.Context) (Report, error) {
-		dw, err := DefaultDeltaPool.GetCtx(ctx, net, vcs, ts, jobs)
+	return c.VerifyDeltaQueryCtx(ctx, NewTurnSetQuery(net, vcs, ts).Delta(diff), jobs)
+}
+
+// VerifyDeltaQueryCtx is VerifyDeltaCtx for a query built once: neither
+// the cache probe nor the delta pool hashes the base again.
+func (c *VerifyCache) VerifyDeltaQueryCtx(ctx context.Context, q *DeltaQuery, jobs int) (Report, error) {
+	return c.Do(ctx, q.Key, q.Check, func(ctx context.Context) (Report, error) {
+		dw, err := DefaultDeltaPool.get(ctx, q.base, jobs)
 		if err != nil {
 			return Report{}, err
 		}
 		defer DefaultDeltaPool.Put(dw)
-		return dw.VerifyDiffCtx(ctx, diff, jobs)
+		return dw.VerifyDiffCtx(ctx, q.diff, jobs)
 	})
 }
 

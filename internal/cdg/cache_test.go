@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -226,5 +227,43 @@ func TestCacheEntriesGaugeIsProcessTotal(t *testing.T) {
 	a.Reset()
 	if got := gauge.Value() - base; got != 0 {
 		t.Fatalf("gauge moved by %d after resetting both caches, want 0", got)
+	}
+}
+
+// TestQueryEntryPointsUseTheirKeys pins that the query entry points store
+// under the identity the query already holds: a query whose key a caller
+// has altered lands under the altered key, so VerifyQueryCtx and
+// VerifyDeltaQueryCtx never hash the design again. The untouched queries'
+// keys equal VerifyKey and DeltaKey.
+func TestQueryEntryPointsUseTheirKeys(t *testing.T) {
+	net := topology.NewMesh(4, 4)
+	ts := xyTurnSet()
+	q := NewTurnSetQuery(net, nil, ts)
+	if k, c := VerifyKey(net, nil, ts); q.Key != k || q.Check != c {
+		t.Fatalf("query key %x/%x, VerifyKey %x/%x", q.Key, q.Check, k, c)
+	}
+	diff := Diff{RemoveLinks: net.Links()[:1]}
+	d := q.Delta(diff)
+	if k, c := DeltaKey(net, nil, ts, diff); d.Key != k || d.Check != c {
+		t.Fatalf("delta query key %x/%x, DeltaKey %x/%x", d.Key, d.Check, k, c)
+	}
+
+	c := &VerifyCache{}
+	q.Key ^= 1
+	d.Key ^= 1
+	if _, err := c.VerifyQueryCtx(context.Background(), q, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.VerifyDeltaQueryCtx(context.Background(), d, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Lookup(q.Key, q.Check); !ok {
+		t.Error("turn-set verdict not stored under the query's key")
+	}
+	if _, ok := c.Lookup(d.Key, d.Check); !ok {
+		t.Error("delta verdict not stored under the query's key")
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Misses != 2 {
+		t.Errorf("stats %+v, want two misses and two entries", st)
 	}
 }

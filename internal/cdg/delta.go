@@ -239,23 +239,23 @@ func NewDeltaWorkspace(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (*
 // (jobs <= 0 means all cores) and retains its state for incremental
 // re-verification. Cancellation returns ctx's error and no workspace.
 func NewDeltaWorkspaceCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
-	return newDeltaOver(ctx, NewWorkspace(net, vcs), ts, jobs)
+	return newDeltaOver(ctx, NewWorkspace(net, vcs), NewTurnSetQuery(net, vcs, ts), jobs)
 }
 
-// newDeltaOver runs the base verification of ts in ws and wraps the
-// workspace, which the delta workspace then owns.
-func newDeltaOver(ctx context.Context, ws *Workspace, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
-	rep, err := ws.VerifyTurnSetCtx(ctx, ts, jobs)
+// newDeltaOver runs q's base verification in ws, a workspace for q's
+// network, and wraps the workspace, which the delta workspace then owns,
+// under q's key.
+func newDeltaOver(ctx context.Context, ws *Workspace, q *TurnSetQuery, jobs int) (*DeltaWorkspace, error) {
+	rep, err := ws.VerifyTurnSetCtx(ctx, q.ts, jobs)
 	if err != nil {
 		return nil, err
 	}
-	key, check := verifyKey(ws.g.net, ws.g.vcs, ts)
 	nc := ws.g.NumChannels()
 	dw := &DeltaWorkspace{
 		ws:        ws,
-		ts:        ts,
-		baseKey:   key,
-		baseCheck: check,
+		ts:        q.ts,
+		baseKey:   q.Key,
+		baseCheck: q.Check,
 		baseRep:   rep,
 		baseEdges: ws.g.edges,
 		baseFin:   append([]int32(nil), ws.st.indeg...),
@@ -771,8 +771,13 @@ var DefaultDeltaPool = &DeltaPool{}
 // configuration, turn set), reusing a pooled one when available and
 // building the base verification otherwise (jobs <= 0 means all cores).
 func (p *DeltaPool) GetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
+	return p.get(ctx, NewTurnSetQuery(net, vcs, ts), jobs)
+}
+
+// get is GetCtx keyed by a query's already computed identity.
+func (p *DeltaPool) get(ctx context.Context, q *TurnSetQuery, jobs int) (*DeltaWorkspace, error) {
 	obsDeltaPoolGets.Inc()
-	key, check := verifyKey(net, vcs, ts)
+	key, check := q.Key, q.Check
 	p.mu.Lock()
 	list := p.free[key]
 	for len(list) > 0 {
@@ -790,7 +795,7 @@ func (p *DeltaPool) GetCtx(ctx context.Context, net *topology.Network, vcs VCCon
 		p.free[key] = list
 	}
 	p.mu.Unlock()
-	return NewDeltaWorkspaceCtx(ctx, net, vcs, ts, jobs)
+	return newDeltaOver(ctx, NewWorkspace(q.net, q.vcs), q, jobs)
 }
 
 // Put returns a workspace to the pool. The caller must not use it (or its

@@ -211,7 +211,7 @@ func TestWorkspaceArenaRowsNeverAlias(t *testing.T) {
 
 		// Delta on the same workspace: insert into a full row whose
 		// arena neighbour is non-empty, delete from another, roll back.
-		dw, err := newDeltaOver(context.Background(), ws, second, jobs)
+		dw, err := newDeltaOver(context.Background(), ws, NewTurnSetQuery(net, vcs, second), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

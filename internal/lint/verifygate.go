@@ -24,7 +24,7 @@ const cdgPath = "ebda/internal/cdg"
 // router forwards served verdicts, so it carries the same contract) are
 // held to a stricter rule: every verdict they hand a client must flow
 // through a verdict cache — Cache.Lookup under the kind's dual-hash
-// identity (cdg.VerifyKey, DeltaKey, ModeKey or a ModeQuery's key) plus
+// identity (cdg.VerifyKey, DeltaKey, ModeKey or a query's key) plus
 // the VerifyCache or ModeCache computing entry point — so responses are
 // memoized, coalescible and identical across requests. In those packages the
 // uncached pooled entry points (cdg.VerifyTurnSet / VerifyTurnSetJobs /
@@ -32,9 +32,10 @@ const cdgPath = "ebda/internal/cdg"
 // VerifyMode / VerifyModeJobs and the Workspace verify methods) are also
 // forbidden. The same contract covers incremental verdicts: serving code
 // reaches them only through the cache-layer delta entry points
-// (Cache.Lookup by cdg.DeltaKey, VerifyCache.VerifyDeltaCtx and
-// friends), never by constructing a cdg.DeltaWorkspace, checking one out
-// of a cdg.DeltaPool, or calling its Verify methods directly — a
+// (Cache.Lookup by cdg.DeltaKey or a DeltaQuery's key, then
+// VerifyCache.VerifyDeltaCtx or VerifyDeltaQueryCtx), never by
+// constructing a cdg.DeltaWorkspace, checking one out of a cdg.DeltaPool,
+// or calling its Verify methods directly — a
 // bypassed delta verdict would be unmemoized and uncoalescible.
 //
 // The observability layer (ebda/internal/obs and everything under it,

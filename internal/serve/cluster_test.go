@@ -488,15 +488,3 @@ func TestClusterConfigValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestReadClusterBenchRejectsOtherKinds(t *testing.T) {
-	if _, err := ReadClusterBench([]byte(`{"kind":"serve"}`)); err == nil {
-		t.Error("serve snapshot accepted as cluster")
-	}
-	if _, err := ReadClusterBench([]byte(`{"kind":"cluster","replicas":4}`)); err != nil {
-		t.Errorf("cluster snapshot rejected: %v", err)
-	}
-	if _, err := ReadClusterBench([]byte(`not json`)); err == nil {
-		t.Error("malformed snapshot accepted")
-	}
-}

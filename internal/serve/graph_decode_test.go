@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"ebda/internal/cdg"
+	"ebda/internal/channel"
 	"ebda/internal/graphio"
 	"ebda/internal/topology"
 )
@@ -248,6 +250,88 @@ func TestGraphMissComputesOnce(t *testing.T) {
 	}
 	if again := s.modes.Stats(); again.Hits != st.Hits+1 || again.Misses != st.Misses || again.Entries != st.Entries {
 		t.Fatalf("repeat: stats %+v -> %+v, want one hit", st, again)
+	}
+}
+
+// TestVerifyMissComputesOnce pins that a turn-set miss goes through the
+// verify cache once, under the key the handler reports: one miss, one
+// entry stored, and the repeat is a hit.
+func TestVerifyMissComputesOnce(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	body := `{"network":{"kind":"mesh","sizes":[5,4]},"chain":"PA[X+ X- Y-] -> PB[Y+]"}`
+	before := s.cache.Stats()
+	status, raw := post(t, ts, "/v1/verify", body)
+	if status != 200 {
+		t.Fatalf("POST = %d: %s", status, raw)
+	}
+	st := s.cache.Stats()
+	if st.Misses != before.Misses+1 || st.Entries != before.Entries+1 || st.Hits != before.Hits {
+		t.Fatalf("one verify miss: stats %+v -> %+v, want one miss and one entry", before, st)
+	}
+	var got VerifyResponse
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	req, err := DecodeVerifyRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := req.build(s.nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, check := cdg.VerifyKey(b.net, b.vcs, b.ts)
+	if got.Key != strconv.FormatUint(key, 16) {
+		t.Fatalf("reported key %s, want %x", got.Key, key)
+	}
+	if _, ok := s.cache.Lookup(key, check); !ok {
+		t.Fatal("the verdict is not stored under the design's VerifyKey")
+	}
+	if status, raw := post(t, ts, "/v1/verify", body); status != 200 {
+		t.Fatalf("repeat POST = %d: %s", status, raw)
+	}
+	if again := s.cache.Stats(); again.Hits != st.Hits+2 || again.Misses != st.Misses || again.Entries != st.Entries {
+		t.Fatalf("repeat: stats %+v -> %+v, want one hit besides the Lookup above", st, again)
+	}
+}
+
+// TestDeltaMissComputesOnce is TestVerifyMissComputesOnce for a delta:
+// the delta is stored under the DeltaKey the handler reports, whose base
+// part matches the reported base key.
+func TestDeltaMissComputesOnce(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	body := `{"base":` + deltaBaseBody + `,"remove_links":[{"at":[2,3],"dir":"X+"}]}`
+	before := s.cache.Stats()
+	status, raw := post(t, ts, "/v1/verify/delta", body)
+	if status != 200 {
+		t.Fatalf("POST = %d: %s", status, raw)
+	}
+	st := s.cache.Stats()
+	if st.Misses != before.Misses+1 || st.Entries != before.Entries+1 || st.Hits != before.Hits {
+		t.Fatalf("one delta miss: stats %+v -> %+v, want one miss and one entry", before, st)
+	}
+	var got DeltaResponse
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	net, vcs, turns := deltaBaseDesign(t)
+	link, ok := net.FindLink(net.ID(topology.Coord{2, 3}), 0, channel.Plus)
+	if !ok {
+		t.Fatal("link (2,3)X+ missing")
+	}
+	key, check := cdg.DeltaKey(net, vcs, turns, cdg.Diff{RemoveLinks: []topology.Link{link}})
+	baseKey, _ := cdg.VerifyKey(net, vcs, turns)
+	if got.Key != strconv.FormatUint(key, 16) || got.BaseKey != strconv.FormatUint(baseKey, 16) {
+		t.Fatalf("reported keys %s (base %s), want %x (base %x)", got.Key, got.BaseKey, key, baseKey)
+	}
+	if _, ok := s.cache.Lookup(key, check); !ok {
+		t.Fatal("the delta verdict is not stored under its DeltaKey")
+	}
+	if status, raw := post(t, ts, "/v1/verify/delta", body); status != 200 {
+		t.Fatalf("repeat POST = %d: %s", status, raw)
+	}
+	if again := s.cache.Stats(); again.Hits != st.Hits+2 || again.Misses != st.Misses || again.Entries != st.Entries {
+		t.Fatalf("repeat: stats %+v -> %+v, want one hit besides the Lookup above", st, again)
 	}
 }
 

@@ -87,12 +87,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Resolved returns the configuration with defaults applied: the worker
-// pool size, queue depth, timeout and jobs value the server actually
-// runs with. Benchmark harnesses record it so snapshots never carry the
-// zero-sentinels of an unconfigured field.
-func (c Config) Resolved() Config { return c.withDefaults() }
-
 // Server is the verification service: decoded requests are admitted to a
 // bounded queue, executed by a fixed worker pool through the cached
 // context-aware verify path, and coalesced through a singleflight group.
@@ -284,13 +278,14 @@ type verdictKind[R cdg.Verdict] struct {
 	leader     string
 }
 
-// verifyKind is the verdictKind of a turn-set verification.
+// verifyKind is the verdictKind of a turn-set verification. The design
+// is hashed once, for the cache probe and, on a miss, for the engine.
 func (s *Server) verifyKind(b *builtVerify) verdictKind[cdg.Report] {
-	key, check := cdg.VerifyKey(b.net, b.vcs, b.ts)
+	q := cdg.NewTurnSetQuery(b.net, b.vcs, b.ts)
 	return verdictKind[cdg.Report]{
-		key: key, check: check, cache: &s.cache.Cache, flight: s.flight, leader: provComputed,
+		key: q.Key, check: q.Check, cache: &s.cache.Cache, flight: s.flight, leader: provComputed,
 		compute: func(ctx context.Context) (cdg.Report, error) {
-			return s.cache.VerifyTurnSetCtx(ctx, b.net, b.vcs, b.ts, s.cfg.Jobs)
+			return s.cache.VerifyQueryCtx(ctx, q, s.cfg.Jobs)
 		},
 	}
 }
@@ -522,14 +517,16 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	baseKey, _ := cdg.VerifyKey(b.net, b.vcs, b.ts)
+	// The base is hashed once: its key checks base_key and seeds the
+	// delta's identity, which the cache probe and the engine share.
+	base := cdg.NewTurnSetQuery(b.net, b.vcs, b.ts)
 	if req.BaseKey != "" {
 		want, perr := strconv.ParseUint(req.BaseKey, 16, 64)
-		if perr != nil || want != baseKey {
+		if perr != nil || want != base.Key {
 			obsRejectBad.Inc()
 			writeError(w, http.StatusBadRequest,
 				"base_key "+req.BaseKey+" does not match the base design (key "+
-					strconv.FormatUint(baseKey, 16)+")")
+					strconv.FormatUint(base.Key, 16)+")")
 			return
 		}
 	}
@@ -539,15 +536,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	key, check := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
+	q := base.Delta(diff)
 	k := verdictKind[cdg.Report]{
-		key: key, check: check, cache: &s.cache.Cache, flight: s.flight, leader: provDelta,
+		key: q.Key, check: q.Check, cache: &s.cache.Cache, flight: s.flight, leader: provDelta,
 		compute: func(ctx context.Context) (cdg.Report, error) {
-			return s.cache.VerifyDeltaCtx(ctx, b.net, b.vcs, b.ts, diff, s.cfg.Jobs)
+			return s.cache.VerifyDeltaQueryCtx(ctx, q, s.cfg.Jobs)
 		},
 	}
 	reply := func(v *PeerLookupResponse, prov string) any {
-		return deltaReply(v, prov, key, baseKey)
+		return deltaReply(v, prov, q.Key, base.Key)
 	}
 	if s.route(w, r, &k, body, reply) {
 		return
