@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-delta bench-cluster cluster-soak repro fmt vet lint lint-sarif obs-smoke trace-smoke serve-smoke graph-smoke fuzz-short check clean
+.PHONY: all build test race bench bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif obs-smoke trace-smoke serve-smoke graph-smoke fuzz-short check clean
 
 all: check
 
@@ -54,6 +54,11 @@ repro:
 
 fmt:
 	gofmt -l -w .
+
+# fmt-check fails when any Go file is not gofmt-clean; `make fmt` fixes
+# them.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -114,12 +119,13 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzTurnEdges -fuzztime=5s ./internal/cdg
 	$(GO) test -run='^$$' -fuzz=FuzzBuildEdgeSet -fuzztime=5s ./internal/cdg
 
-# race is part of check so the worker pools are race-tested routinely;
-# obs-smoke keeps the -obs-json determinism contract honest; trace-smoke
-# does the same for request traces; serve-smoke and fuzz-short guard the
-# HTTP serving layer end to end; graph-smoke pins the arbitrary-network
-# CLI's verdicts over the committed goldens.
-check: build lint test race obs-smoke trace-smoke serve-smoke graph-smoke fuzz-short
+# fmt-check keeps every Go file gofmt-clean; race is part of check so
+# the worker pools are race-tested routinely; obs-smoke keeps the
+# -obs-json determinism contract honest; trace-smoke does the same for
+# request traces; serve-smoke and fuzz-short guard the HTTP serving layer
+# end to end; graph-smoke pins the arbitrary-network CLI's verdicts over
+# the committed goldens.
+check: fmt-check build lint test race obs-smoke trace-smoke serve-smoke graph-smoke fuzz-short
 
 clean:
 	$(GO) clean ./...

@@ -53,7 +53,7 @@ func Connectivity(net *topology.Network, vcs VCConfig, ts *core.TurnSet, minimal
 		if !minimalOnly {
 			return true
 		}
-		off := net.MinimalOffsets(ch.Link.From, dst)[ch.Link.Dim]
+		off := net.MinimalOffset(ch.Link.From, dst, ch.Link.Dim)
 		if off == 0 {
 			return false
 		}

@@ -16,8 +16,9 @@ import (
 //     read or write of a guarded field must be preceded, somewhere
 //     earlier in the same function, by a Lock or RLock call on the same
 //     receiver's mu. This is how cdg.VerifyCache.m, the WorkspacePool
-//     free lists, core.TurnSet's memoized matrix and routing.FromChain's
-//     reachability memo stay race-free;
+//     free lists, core.TurnSet's memoized matrix and the interned
+//     candidate lists of routing.FromChain's compiled tables stay
+//     race-free;
 //   - goroutines launched inside loops must receive loop variables as
 //     arguments rather than capturing them, matching the engine's
 //     parallelFor idiom (per-iteration semantics make capture safe since

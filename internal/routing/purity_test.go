@@ -91,3 +91,75 @@ func TestCandidatesArePure(t *testing.T) {
 		}
 	}
 }
+
+// pinnedAlgs are the algorithms the simulator benchmark runs, whose warm
+// Candidates must neither allocate nor hand out lists a caller can write
+// through.
+func pinnedAlgs() []routing.Algorithm {
+	return []routing.Algorithm{
+		routing.NewXY(),
+		routing.NewWestFirst(),
+		routing.NewOddEven(),
+		routing.NewFromChain("dyxy", core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]"), 2),
+	}
+}
+
+// pinnedInputs is the injection port plus every VC-1 and VC-2 input of a
+// 2D mesh.
+func pinnedInputs() []*channel.Class {
+	ins := []*channel.Class{nil}
+	for _, d := range []channel.Dim{channel.X, channel.Y} {
+		for _, sign := range []channel.Sign{channel.Plus, channel.Minus} {
+			for vc := 1; vc <= 2; vc++ {
+				in := channel.NewVC(d, sign, vc)
+				ins = append(ins, &in)
+			}
+		}
+	}
+	return ins
+}
+
+// TestCandidatesDoNotAllocate pins a warm Candidates sweep over every
+// (node, input, destination) of an 8x8 mesh at zero allocations.
+func TestCandidatesDoNotAllocate(t *testing.T) {
+	net := topology.NewMesh(8, 8)
+	ins := pinnedInputs()
+	for _, alg := range pinnedAlgs() {
+		sweep := func() {
+			for cur := topology.NodeID(0); int(cur) < net.Nodes(); cur++ {
+				for dst := topology.NodeID(0); int(dst) < net.Nodes(); dst++ {
+					for _, in := range ins {
+						alg.Candidates(net, cur, in, dst)
+					}
+				}
+			}
+		}
+		// AllocsPerRun warms up with one sweep, then measures one.
+		if n := testing.AllocsPerRun(1, sweep); n != 0 {
+			t.Errorf("%s: warm Candidates sweep allocated %v times", alg.Name(), n)
+		}
+	}
+}
+
+// TestCandidatesAppendCopies pins the capacity clipping of shared lists:
+// appending to an answer leaves the next answer for the same arguments
+// unchanged.
+func TestCandidatesAppendCopies(t *testing.T) {
+	net := topology.NewMesh(8, 8)
+	junk := channel.NewVC(channel.Z, channel.Plus, 9)
+	for _, alg := range pinnedAlgs() {
+		for cur := topology.NodeID(0); int(cur) < net.Nodes(); cur++ {
+			for dst := topology.NodeID(0); int(dst) < net.Nodes(); dst++ {
+				for _, in := range pinnedInputs() {
+					first := alg.Candidates(net, cur, in, dst)
+					want := slices.Clone(first)
+					_ = append(first, junk)
+					if got := alg.Candidates(net, cur, in, dst); !slices.Equal(got, want) {
+						t.Fatalf("%s: Candidates(%v, %v, %v) = %v after an append to the previous answer, want %v",
+							alg.Name(), net.Coord(cur), in, net.Coord(dst), got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -20,6 +20,12 @@ var (
 		"flits injected at sources")
 	obsDeliveredFlits = obs.NewCounter("ebda_sim_delivered_flits_total",
 		"flits ejected at destinations")
+	obsHeadsRouted = obs.NewCounter("ebda_sim_heads_routed_total",
+		"routing-function calls: one per packet head at each router it is routed at")
+	obsRequestsBucketed = obs.NewCounter("ebda_sim_requests_bucketed_total",
+		"switch requests collected by output port")
+	obsFlitsMoved = obs.NewCounter("ebda_sim_flits_moved_total",
+		"flits sent through a switch (link or ejection)")
 	obsDeadlocks = obs.NewCounter("ebda_sim_deadlocks_total",
 		"runs aborted by the progress watchdog")
 	obsDiagCycle = obs.NewCounter(
@@ -41,6 +47,9 @@ func (s *Simulator) recordObs(res Result) {
 	obsDeliveredPackets.Add(uint64(s.delivered))
 	obsInjectedFlits.Add(uint64(s.injectedFlits))
 	obsDeliveredFlits.Add(uint64(s.deliveredFlits))
+	obsHeadsRouted.Add(uint64(s.headsRouted))
+	obsRequestsBucketed.Add(uint64(s.requestsBucketed))
+	obsFlitsMoved.Add(uint64(s.flitsMoved))
 	if res.Deadlocked {
 		obsDeadlocks.Inc()
 	}

@@ -311,6 +311,10 @@ type Simulator struct {
 	measuredFlits       int
 	traceIdx            int
 	deliveredBySrc      []int
+	// Per-stage work counts, folded into the process counters by
+	// recordObs: routing-function calls (one per head, however long it
+	// waits), switch requests bucketed and flits moved through a switch.
+	headsRouted, requestsBucketed, flitsMoved int
 	// linkLoad counts measured-window flit traversals per (router,
 	// output port); pending holds in-flight link traversals when
 	// LinkLatency > 1.
@@ -735,6 +739,7 @@ func (s *Simulator) tryAllocate(r *router, ivc *inVC, pkt *packetInfo, wholePres
 		}
 		ivc.cands = s.cfg.Alg.Candidates(s.net, r.id, in, dst)
 		ivc.candFor = pkt
+		s.headsRouted++
 	}
 	opts := s.opts[:0]
 	for _, c := range ivc.cands {
@@ -829,6 +834,7 @@ func (s *Simulator) traverse() bool {
 			r.saPtr[op] = idx + 1
 			f, fromSrc := s.popFront(r, winner)
 			moved = true
+			s.flitsMoved++
 			if op == s.ejectPort() {
 				s.deliver(f)
 			} else {
@@ -901,12 +907,14 @@ func (s *Simulator) collectRequests(r *router) {
 				continue
 			}
 			s.reqs[op] = append(s.reqs[op], requester{port: int(ivc.port), vcIn: int(ivc.vc), vc: int(ivc.outVC)})
+			s.requestsBucketed++
 		}
 	}
 	if r.src.assigned && r.srcLen() > 0 {
 		op := int(r.src.outPort)
 		if op == eject || r.out[op][r.src.outVC].credits > 0 {
 			s.reqs[op] = append(s.reqs[op], requester{src: true, vc: int(r.src.outVC)})
+			s.requestsBucketed++
 		}
 	}
 }

@@ -396,3 +396,52 @@ func TestRunSeedsJobsDeterministic(t *testing.T) {
 		t.Fatalf("aggregate lost runs: %+v", ref)
 	}
 }
+
+// TestStageCounters pins the per-stage counts on a trace that fully
+// drains under XY: each packet's head is routed once at every router
+// before its destination (however long it waits there), each flit moves
+// through one switch per hop plus the ejection switch, every move was a
+// bucketed request, and recordObs folds exactly these counts into the
+// process counters.
+func TestStageCounters(t *testing.T) {
+	net := topology.NewMesh(4, 4)
+	var trace []traffic.TraceEntry
+	wantRouted, wantMoved := 0, 0
+	for i := 0; i < 60; i++ {
+		src := topology.NodeID(i * 7 % net.Nodes())
+		dst := topology.NodeID(i * 11 % net.Nodes())
+		if src == dst {
+			continue
+		}
+		length := 1 + i%5
+		trace = append(trace, traffic.TraceEntry{Cycle: 1 + i/3, Src: src, Dst: dst, Len: length})
+		hops := net.MinimalHops(src, dst)
+		wantRouted += hops
+		wantMoved += length * (hops + 1)
+	}
+	s := New(Config{Net: net, Alg: routing.NewXY(), Trace: trace, Warmup: 1, Measure: 100, Drain: 2000, Seed: 1})
+	routedBefore, bucketedBefore, movedBefore := obsHeadsRouted.Value(), obsRequestsBucketed.Value(), obsFlitsMoved.Value()
+	res := s.Run()
+	if res.Deadlocked || res.StuckFlits != 0 || res.DeliveredPackets != len(trace) {
+		t.Fatalf("trace did not drain: %+v", res)
+	}
+	if s.headsRouted != wantRouted || s.flitsMoved != wantMoved {
+		t.Errorf("heads routed %d, flits moved %d; want %d and %d", s.headsRouted, s.flitsMoved, wantRouted, wantMoved)
+	}
+	if s.requestsBucketed < s.flitsMoved {
+		t.Errorf("requests bucketed %d < flits moved %d", s.requestsBucketed, s.flitsMoved)
+	}
+	for _, c := range []struct {
+		name          string
+		before, after uint64
+		want          int
+	}{
+		{"heads routed", routedBefore, obsHeadsRouted.Value(), s.headsRouted},
+		{"requests bucketed", bucketedBefore, obsRequestsBucketed.Value(), s.requestsBucketed},
+		{"flits moved", movedBefore, obsFlitsMoved.Value(), s.flitsMoved},
+	} {
+		if got := c.after - c.before; got != uint64(c.want) {
+			t.Errorf("%s counter grew by %d, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -18,6 +18,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -146,7 +147,7 @@ func Generate(name string, chain *core.Chain, dims int) (*Logic, error) {
 				}
 				continue
 			}
-			sortClasses(out)
+			out = sortedClasses(out)
 			entries = append(entries, entry{in: ic.cls, out: out})
 		}
 		// Merge when every plausible input yields identical outputs.
@@ -188,8 +189,12 @@ func equalClasses(a, b []channel.Class) bool {
 	return true
 }
 
-func sortClasses(cs []channel.Class) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Compare(cs[j]) < 0 })
+// sortedClasses returns a sorted copy of cs; Candidates answers are
+// shared and must not be sorted in place.
+func sortedClasses(cs []channel.Class) []channel.Class {
+	out := slices.Clone(cs)
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
 }
 
 // plausible reports whether a packet can be at the probe with the given

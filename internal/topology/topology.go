@@ -304,32 +304,43 @@ func (n *Network) Links() []Link {
 	return n.links
 }
 
-// MinimalOffsets returns, per dimension, the signed hop count of a minimal
-// route from src to dst. In wraparound dimensions the shorter way around is
-// chosen (ties resolve to the positive direction). The coordinates are
-// read off the node IDs by stride arithmetic; only the result allocates.
+// MinimalOffset returns the signed hop count along dimension d of a
+// minimal route from src to dst. In a wraparound dimension the shorter way
+// around is chosen (ties resolve to the positive direction). The
+// coordinates are read off the node IDs by stride arithmetic, so it does
+// not allocate.
+func (n *Network) MinimalOffset(src, dst NodeID, d channel.Dim) int {
+	stride, k := n.strides[d], n.dims[d]
+	delta := int(dst)/stride%k - int(src)/stride%k
+	if n.wrap[d] {
+		alt := delta
+		switch {
+		case delta > 0 && delta > k/2:
+			alt = delta - k
+		case delta < 0 && -delta > k/2:
+			alt = delta + k
+		}
+		if abs(alt) < abs(delta) || (abs(alt) == abs(delta) && alt > 0) {
+			delta = alt
+		}
+	}
+	return delta
+}
+
+// MinimalOffsets returns MinimalOffset for every dimension, in a fresh
+// slice.
 func (n *Network) MinimalOffsets(src, dst NodeID) []int {
 	out := make([]int, len(n.dims))
-	a, b := int(src), int(dst)
-	for i, k := range n.dims {
-		delta := b%k - a%k
-		a /= k
-		b /= k
-		if n.wrap[i] {
-			alt := delta
-			switch {
-			case delta > 0 && delta > k/2:
-				alt = delta - k
-			case delta < 0 && -delta > k/2:
-				alt = delta + k
-			}
-			if abs(alt) < abs(delta) || (abs(alt) == abs(delta) && alt > 0) {
-				delta = alt
-			}
-		}
-		out[i] = delta
+	for d := range out {
+		out[d] = n.MinimalOffset(src, dst, channel.Dim(d))
 	}
 	return out
+}
+
+// CoordAt returns one coordinate of a node, Coord(id)[d], without
+// allocating.
+func (n *Network) CoordAt(id NodeID, d channel.Dim) int {
+	return int(id) / n.strides[d] % n.dims[d]
 }
 
 func abs(x int) int {
@@ -342,8 +353,8 @@ func abs(x int) int {
 // MinimalHops returns the length of a minimal route from src to dst.
 func (n *Network) MinimalHops(src, dst NodeID) int {
 	total := 0
-	for _, d := range n.MinimalOffsets(src, dst) {
-		total += abs(d)
+	for d := range n.dims {
+		total += abs(n.MinimalOffset(src, dst, channel.Dim(d)))
 	}
 	return total
 }

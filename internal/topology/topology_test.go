@@ -34,6 +34,11 @@ func TestCoordIDRoundTrip(t *testing.T) {
 		if m.ID(c) != id {
 			t.Fatalf("round trip failed for %d -> %v", id, c)
 		}
+		for d := range c {
+			if got := m.CoordAt(id, channel.Dim(d)); got != c[d] {
+				t.Fatalf("CoordAt(%d, %d) = %d, Coord says %d", id, d, got, c[d])
+			}
+		}
 	}
 }
 
